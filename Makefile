@@ -50,9 +50,10 @@ bench:
 # bench-compare can consume as OLD= or NEW=.
 OUT ?= bench-gated.txt
 bench-gated:
-	$(GO) test -bench='E10|E13|E15' -benchtime=$(BENCHTIME) -run='^$$' . | tee $(OUT)
+	$(GO) test -bench='E10|E13|E15|E18|E19|E21|E23' -benchtime=$(BENCHTIME) -run='^$$' . | tee $(OUT)
 
-# Gate NEW against OLD on the deterministic block-I/O metric, as CI does:
+# Gate NEW against OLD on every deterministic block-I/O metric, one
+# benchgate call per metric, as CI does:
 #   make bench-gated OUT=old.txt   (on the baseline commit)
 #   make bench-gated OUT=new.txt   (on the candidate)
 #   make bench-compare OLD=old.txt NEW=new.txt
@@ -60,6 +61,11 @@ OLD ?= bench-old.txt
 NEW ?= bench-new.txt
 bench-compare:
 	$(GO) run ./cmd/benchgate -match 'E10|E13|E15' -metric IOs -max-regress 20 $(OLD) $(NEW)
+	$(GO) run ./cmd/benchgate -match 'E18' -metric mergeIOs -max-regress 20 $(OLD) $(NEW)
+	$(GO) run ./cmd/benchgate -match 'E19' -metric reopenIOs -max-regress 20 $(OLD) $(NEW)
+	$(GO) run ./cmd/benchgate -match 'E19' -metric replayIOs -max-regress 20 $(OLD) $(NEW)
+	$(GO) run ./cmd/benchgate -match 'E21' -metric diffIOs -max-regress 20 $(OLD) $(NEW)
+	$(GO) run ./cmd/benchgate -match 'E23' -metric clusterIOs -max-regress 20 $(OLD) $(NEW)
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

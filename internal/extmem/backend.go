@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -45,13 +46,15 @@ func (m *memBackend) ReadBlock(b int64, dst []Word) error {
 	return nil
 }
 
+// WriteBlock grows the store geometrically (append-style), so writing W
+// words block by block costs O(W) amortized copying rather than O(W²/B).
+// The store never shrinks, so every word past len(m.words) — spare
+// capacity included — is still the zero the runtime allocated it as, and
+// a gap below a far write reads as zero.
 func (m *memBackend) WriteBlock(b int64, src []Word) error {
 	off := b * int64(len(src))
-	need := off + int64(len(src))
-	if need > int64(len(m.words)) {
-		grown := make([]Word, need)
-		copy(grown, m.words)
-		m.words = grown
+	if need := off + int64(len(src)); need > int64(len(m.words)) {
+		m.words = slices.Grow(m.words, int(need)-len(m.words))[:need]
 	}
 	copy(m.words[off:], src)
 	return nil

@@ -18,7 +18,10 @@
 // shrinks the block cache by the same number of words while held.
 package extmem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Word is the unit of storage in the model. The paper assumes each vertex
 // and each edge occupies one memory word; an edge {u,v} with u < v is packed
@@ -67,13 +70,24 @@ type Config struct {
 	Native bool
 }
 
-const noFrame = int32(-1)
+// Block-table entries that are not frame indices. Blocks past the end of
+// the table read as noFrame.
+const (
+	noFrame     = int32(-1) // not resident: contents live in external memory
+	virginBlock = int32(-2) // allocated, never materialized: reads as zero, no fetch
+	// zeroBlock is a virgin block that was materialized and evicted clean.
+	// Fetching it again costs a block read like any non-resident block, but
+	// the backend may still hold a released extent's words there, so it
+	// reads as zero.
+	zeroBlock = int32(-3)
+)
 
 // frame is a cache slot holding one block.
 type frame struct {
 	block      int64 // block index held, or -1 if free
 	prev, next int32 // LRU list links
 	dirty      bool
+	zero       bool // materialized as zero and not written back since
 }
 
 // Space is a word-addressable external memory with a simulated block cache.
@@ -86,17 +100,17 @@ type Space struct {
 	size      int64 // allocated words (bump allocator)
 	leased    int
 	frames    []frame
-	data      []Word          // frame storage, len = maxFrames*B
-	table     map[int64]int32 // block index -> frame
-	lruHead   int32           // most recently used
-	lruTail   int32           // least recently used
+	data      []Word  // frame storage, len = maxFrames*B
+	table     []int32 // block index -> frame, noFrame, virginBlock or zeroBlock (simulator metadata, outside M)
+	resident  int     // blocks currently cached
+	lruHead   int32   // most recently used
+	lruTail   int32   // least recently used
 	freeList  []int32
 	capFrames int // current frame budget = (M - leased)/B
 	// fast path: the most recently accessed block stays pinned in these
-	// fields so sequential scans skip the map lookup B-1 times out of B.
+	// fields so sequential scans skip the table lookup B-1 times out of B.
 	lastBlock int64
 	lastFrame int32
-	virgin    map[int64]struct{} // blocks never materialized: first write skips the fetch
 	closed    bool
 	// Native-mode storage (Config.Native): no frames, no table, no
 	// accounting. Addresses [0, natBase) read from the immutable natCore
@@ -162,13 +176,11 @@ func newSpace(cfg Config, be Backend) (*Space, error) {
 		backend:   be,
 		frames:    make([]frame, maxFrames),
 		data:      make([]Word, maxFrames*cfg.B),
-		table:     make(map[int64]int32, maxFrames*2),
 		lruHead:   noFrame,
 		lruTail:   noFrame,
 		capFrames: maxFrames,
 		lastBlock: -1,
 		lastFrame: noFrame,
-		virgin:    make(map[int64]struct{}),
 	}
 	for i := range sp.frames {
 		sp.frames[i].block = -1
@@ -204,20 +216,17 @@ func (s *Space) DropCache() {
 	if s.native {
 		return // no cache to drop
 	}
-	for b, f := range s.table {
+	for f := range s.frames {
 		fr := &s.frames[f]
+		if fr.block < 0 {
+			continue
+		}
 		if fr.dirty {
-			s.writeBack(b, f)
+			s.writeBack(fr.block, int32(f))
 			s.stats.BlockWrites-- // uncounted by contract
 		}
-		fr.block = -1
-		fr.dirty = false
-		s.lruUnlink(f)
-		s.freeList = append(s.freeList, f)
+		s.freeFrame(int32(f))
 	}
-	clear(s.table)
-	s.lastBlock = -1
-	s.lastFrame = noFrame
 }
 
 // Flush writes back all dirty blocks, counting the writes. Data remains
@@ -226,10 +235,10 @@ func (s *Space) Flush() {
 	if s.native {
 		return // nothing cached, nothing dirty
 	}
-	for b, f := range s.table {
-		if s.frames[f].dirty {
-			s.writeBack(b, f)
-			s.frames[f].dirty = false
+	for f := range s.frames {
+		if fr := &s.frames[f]; fr.block >= 0 && fr.dirty {
+			s.writeBack(fr.block, int32(f))
+			fr.dirty = false
 		}
 	}
 }
@@ -332,9 +341,10 @@ func (s *Space) Alloc(n int64) Extent {
 	// the backend holds stale data from a released extent.
 	first := base >> s.logB
 	last := (s.size - 1) >> s.logB
+	s.growTable(last)
 	for b := first; b <= last; b++ {
-		if _, ok := s.table[b]; !ok {
-			s.virgin[b] = struct{}{}
+		if s.table[b] < 0 {
+			s.table[b] = virginBlock
 		}
 	}
 	return Extent{sp: s, base: base, n: n}
@@ -381,25 +391,13 @@ func (s *Space) Release(mark int64) {
 		return
 	}
 	boundary := (mark + int64(s.cfg.B) - 1) >> s.logB
-	for b, f := range s.table {
-		if b >= boundary {
-			fr := &s.frames[f]
-			fr.block = -1
-			fr.dirty = false
-			s.lruUnlink(f)
-			s.freeList = append(s.freeList, f)
-			delete(s.table, b)
-			delete(s.virgin, b)
+	for f := range s.frames {
+		if s.frames[f].block >= boundary {
+			s.freeFrame(int32(f))
 		}
 	}
-	for b := range s.virgin {
-		if b >= boundary {
-			delete(s.virgin, b)
-		}
-	}
-	if s.lastBlock >= boundary {
-		s.lastBlock = -1
-		s.lastFrame = noFrame
+	if boundary < int64(len(s.table)) {
+		s.table = s.table[:boundary]
 	}
 	s.size = mark
 }
@@ -448,35 +446,85 @@ func (s *Space) Write(a int64, v Word) {
 // fetch brings block b into the cache and returns its frame, updating LRU
 // order and the fast-path registers.
 func (s *Space) fetch(b int64, forWrite bool) int32 {
-	if f, ok := s.table[b]; ok {
-		s.lruTouch(f)
-		s.lastBlock, s.lastFrame = b, f
-		return f
+	e := s.entry(b)
+	if e >= 0 {
+		s.lruTouch(e)
+		s.lastBlock, s.lastFrame = b, e
+		return e
 	}
 	f := s.grabFrame()
 	fr := &s.frames[f]
 	fr.block = b
 	fr.dirty = false
-	if _, isVirgin := s.virgin[b]; isVirgin {
-		delete(s.virgin, b)
+	fr.zero = e != noFrame
+	blk := s.data[int64(f)<<s.logB : (int64(f)+1)<<s.logB]
+	switch e {
+	case virginBlock:
 		// First touch of a never-written block: contents are zero by
 		// definition; no transfer from external memory is needed.
-		zero(s.data[int64(f)<<s.logB : (int64(f)+1)<<s.logB])
-	} else {
+		zero(blk)
+	case zeroBlock:
 		s.stats.BlockReads++
-		if err := s.backend.ReadBlock(b, s.data[int64(f)<<s.logB:(int64(f)+1)<<s.logB]); err != nil {
+		zero(blk)
+	default:
+		s.stats.BlockReads++
+		if err := s.backend.ReadBlock(b, blk); err != nil {
 			panic(fmt.Sprintf("extmem: read block %d: %v", b, err))
 		}
 	}
+	s.growTable(b)
 	s.table[b] = f
+	s.resident++
 	s.lruPushFront(f)
 	s.lastBlock, s.lastFrame = b, f
 	return f
 }
 
+// entry returns the block-table entry of block b: a frame index, noFrame,
+// virginBlock or zeroBlock. Blocks past the end of the table are not
+// resident.
+func (s *Space) entry(b int64) int32 {
+	if b < int64(len(s.table)) {
+		return s.table[b]
+	}
+	return noFrame
+}
+
+// growTable extends the block table to cover block b, with noFrame for
+// every new entry.
+func (s *Space) growTable(b int64) {
+	old := len(s.table)
+	if b < int64(old) {
+		return
+	}
+	s.table = slices.Grow(s.table, int(b)+1-old)[:b+1]
+	for i := old; i < len(s.table); i++ {
+		s.table[i] = noFrame
+	}
+}
+
+// freeFrame drops frame f's block from the cache without write-back and
+// returns the frame to the free list.
+func (s *Space) freeFrame(f int32) {
+	fr := &s.frames[f]
+	if fr.zero {
+		s.table[fr.block] = zeroBlock
+	} else {
+		s.table[fr.block] = noFrame
+	}
+	if s.lastFrame == f {
+		s.lastBlock, s.lastFrame = -1, noFrame
+	}
+	fr.block = -1
+	fr.dirty = false
+	s.resident--
+	s.lruUnlink(f)
+	s.freeList = append(s.freeList, f)
+}
+
 // grabFrame returns a free frame, evicting the LRU block if necessary.
 func (s *Space) grabFrame() int32 {
-	if len(s.table) >= s.capFrames {
+	if s.resident >= s.capFrames {
 		s.evictLRU()
 	}
 	if n := len(s.freeList); n > 0 {
@@ -492,7 +540,7 @@ func (s *Space) grabFrame() int32 {
 }
 
 func (s *Space) evictOver() {
-	for len(s.table) > s.capFrames {
+	for s.resident > s.capFrames {
 		s.evictLRU()
 	}
 }
@@ -506,19 +554,12 @@ func (s *Space) evictLRU() {
 	if fr.dirty {
 		s.writeBack(fr.block, f)
 	}
-	delete(s.table, fr.block)
-	if s.lastBlock == fr.block {
-		s.lastBlock = -1
-		s.lastFrame = noFrame
-	}
-	fr.block = -1
-	fr.dirty = false
-	s.lruUnlink(f)
-	s.freeList = append(s.freeList, f)
+	s.freeFrame(f)
 }
 
 func (s *Space) writeBack(b int64, f int32) {
 	s.stats.BlockWrites++
+	s.frames[f].zero = false
 	if err := s.backend.WriteBlock(b, s.data[int64(f)<<s.logB:(int64(f)+1)<<s.logB]); err != nil {
 		panic(fmt.Sprintf("extmem: write block %d: %v", b, err))
 	}
@@ -569,8 +610,7 @@ func (s *Space) Resident(a int64) bool {
 	if s.native {
 		return true
 	}
-	_, ok := s.table[a>>s.logB]
-	return ok
+	return s.entry(a>>s.logB) >= 0
 }
 
 func zero(w []Word) {

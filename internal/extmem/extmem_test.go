@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -364,34 +365,216 @@ func TestStatsReset(t *testing.T) {
 }
 
 // Property: the simulated space behaves exactly like a flat array under any
-// access sequence (the cache is transparent).
+// mix of word accesses, Mark/Release/re-Alloc, Lease, DropCache and Flush
+// (the cache is transparent). After every operation the whole allocated
+// region matches the reference — so words re-allocated after a Release
+// read zero — the blocks Resident reports are exactly the occupied frames,
+// never more than the frame budget, and a write to a block of a fresh
+// extent that nothing has touched yet costs no block read.
 func TestQuickTransparency(t *testing.T) {
 	prop := func(ops []uint32, seed int64) bool {
-		cfg := Config{M: 1 << 9, B: 1 << 4, AllowShortCache: true}
+		cfg := Config{M: 1 << 9, B: 1 << 4, AllowShortCache: true} // 32 frames
 		sp := NewSpace(cfg)
-		const n = 2048
-		ext := sp.Alloc(n)
-		ref := make([]Word, n)
+		b := int64(cfg.B)
+		var (
+			ref       []Word  // ref[a] is the word at address a, for a < sp.Size()
+			marks     []int64 // open Mark()s, innermost last
+			top       Extent  // the most recent allocation
+			leases    []func()
+			untouched = map[int64]bool{} // blocks of fresh extents no access has reached
+			maxBlocks int64
+		)
+		alloc := func(n int64) {
+			top = sp.Alloc(n)
+			ref = append(ref, make([]Word, sp.Size()-int64(len(ref)))...)
+			for blk := top.Base() / b; blk*b < sp.Size(); blk++ {
+				untouched[blk] = true
+			}
+			maxBlocks = max(maxBlocks, (sp.Size()+b-1)/b)
+		}
+		alloc(2048)
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range ops {
-			addr := int64(op) % n
-			if op&1 == 0 {
+			arg := int64(op >> 5)
+			addr := arg % sp.Size()
+			if op&16 != 0 && top.Len() > 0 {
+				addr = top.Base() + arg%top.Len()
+			}
+			switch op % 10 {
+			case 0, 1, 2:
+				reads := sp.Stats().BlockReads
 				v := rng.Uint64()
-				ext.Write(addr, v)
+				sp.Write(addr, v)
 				ref[addr] = v
-			} else if ext.Read(addr) != ref[addr] {
+				if untouched[addr/b] && sp.Stats().BlockReads != reads {
+					t.Logf("first write to fresh block %d cost a block read", addr/b)
+					return false
+				}
+				delete(untouched, addr/b)
+			case 3, 4:
+				if got := sp.Read(addr); got != ref[addr] {
+					t.Logf("Read(%d) = %d, want %d", addr, got, ref[addr])
+					return false
+				}
+				delete(untouched, addr/b)
+			case 5:
+				marks = append(marks, sp.Mark())
+				alloc(arg%300 + 1)
+			case 6:
+				if len(marks) == 0 {
+					continue
+				}
+				mark := marks[len(marks)-1]
+				marks = marks[:len(marks)-1]
+				sp.Release(mark)
+				// The block holding the mark survives, alignment padding
+				// above the mark included.
+				ref = ref[:min(int64(len(ref)), (mark+b-1)/b*b)]
+				for blk := range untouched {
+					if blk*b >= mark {
+						delete(untouched, blk)
+					}
+				}
+				top = Extent{}
+			case 7:
+				if arg&1 == 0 || len(leases) == 0 {
+					leases = append(leases, sp.LeaseAtMost(int(arg%int64(cfg.M/2))))
+				} else {
+					leases[len(leases)-1]()
+					leases = leases[:len(leases)-1]
+				}
+			case 8:
+				if arg&1 == 0 {
+					sp.DropCache()
+				} else {
+					sp.Flush()
+				}
+			case 9:
+				for a := int64(0); a < sp.Size(); a++ {
+					if got := sp.Read(a); got != ref[a] {
+						t.Logf("scan: Read(%d) = %d, want %d", a, got, ref[a])
+						return false
+					}
+				}
+				clear(untouched)
+			}
+			if !checkSpace(t, sp, ref, maxBlocks) {
 				return false
 			}
 		}
-		for i := int64(0); i < n; i++ {
-			if ext.Read(i) != ref[i] {
+		for a := int64(0); a < sp.Size(); a++ {
+			if sp.Read(a) != ref[a] {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkSpace compares every allocated word of sp with ref without
+// touching the cache, the LRU order or the counters, and checks that the
+// blocks Resident reports are exactly the occupied frames, within the
+// frame budget and below the allocation watermark.
+func checkSpace(t *testing.T, sp *Space, ref []Word, maxBlocks int64) bool {
+	t.Helper()
+	b := int64(sp.cfg.B)
+	buf := make([]Word, b)
+	for blk := int64(0); blk*b < sp.Size(); blk++ {
+		switch e := sp.entry(blk); {
+		case e >= 0:
+			copy(buf, sp.data[int64(e)*b:])
+		case e == virginBlock || e == zeroBlock:
+			clear(buf)
+		default:
+			if err := sp.backend.ReadBlock(blk, buf); err != nil {
+				t.Logf("backend read %d: %v", blk, err)
+				return false
+			}
+		}
+		for i, w := range buf {
+			if a := blk*b + int64(i); a < sp.Size() && w != ref[a] {
+				t.Logf("word %d holds %d, want %d", a, w, ref[a])
+				return false
+			}
+		}
+	}
+	occupied := 0
+	for _, fr := range sp.frames {
+		if fr.block >= 0 {
+			occupied++
+			if !sp.Resident(fr.block * b) {
+				t.Logf("frame holds block %d but Resident denies it", fr.block)
+				return false
+			}
+		}
+	}
+	resident := 0
+	for blk := int64(0); blk < maxBlocks; blk++ {
+		if sp.Resident(blk * b) {
+			resident++
+			if blk*b >= sp.Size() {
+				t.Logf("block %d resident above the watermark %d", blk, sp.Size())
+				return false
+			}
+		}
+	}
+	if resident != occupied || resident > sp.capFrames {
+		t.Logf("Resident counts %d blocks, frames hold %d, budget %d", resident, occupied, sp.capFrames)
+		return false
+	}
+	return true
+}
+
+// Writing N consecutive blocks through a memory-backed Space grows the
+// store O(log N) times, not once per block, and a gap below a far write
+// reads as zero.
+func TestMemBackendGrowsGeometrically(t *testing.T) {
+	cfg := Config{M: 4 * 16, B: 16, AllowShortCache: true} // 4 frames
+	sp := NewSpace(cfg)
+	be := sp.backend.(*memBackend)
+	b := int64(cfg.B)
+	const blocks = 1 << 12
+	ext := sp.Alloc(blocks * b)
+	reallocs, lastCap := 0, cap(be.words)
+	for blk := int64(0); blk < blocks; blk++ {
+		ext.Write(blk*b, Word(blk)+1) // evicts, and writes back, a dirty block
+		if c := cap(be.words); c != lastCap {
+			reallocs++
+			lastCap = c
+		}
+	}
+	sp.Flush()
+	if c := cap(be.words); c != lastCap {
+		reallocs++
+	}
+	if limit := 4 * bits.Len(blocks); reallocs > limit {
+		t.Errorf("writing %d blocks reallocated the store %d times, want <= %d", blocks, reallocs, limit)
+	}
+	sp.DropCache()
+	for blk := int64(0); blk < blocks; blk++ {
+		if got := ext.Read(blk * b); got != Word(blk)+1 {
+			t.Fatalf("block %d reads %d after write-back, want %d", blk, got, blk+1)
+		}
+	}
+
+	// A far write leaves a gap of never-written blocks in the store.
+	far := sp.Alloc(64 * b)
+	far.Write(far.Len()-1, 7)
+	sp.Flush()
+	buf := make([]Word, b)
+	for blk := ext.Len() / b; blk < (far.Base()+far.Len())/b-1; blk++ {
+		buf[0] = 1
+		if err := be.ReadBlock(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range buf {
+			if w != 0 {
+				t.Fatalf("gap block %d word %d reads %d, want 0", blk, i, w)
+			}
+		}
 	}
 }
 

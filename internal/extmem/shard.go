@@ -62,7 +62,8 @@ func (s *Space) Snapshot(ext Extent) []Word {
 	}
 	for b := first; b <= last; b++ {
 		dst := out[(b-first)<<s.logB : (b-first+1)<<s.logB]
-		if f, ok := s.table[b]; ok {
+		f := s.entry(b)
+		if f >= 0 {
 			if s.frames[f].dirty {
 				s.writeBack(b, f)
 				s.frames[f].dirty = false
@@ -70,8 +71,8 @@ func (s *Space) Snapshot(ext Extent) []Word {
 			copy(dst, s.data[int64(f)<<s.logB:(int64(f)+1)<<s.logB])
 			continue
 		}
-		if _, virgin := s.virgin[b]; virgin {
-			continue // never materialized: reads as zero
+		if f == virginBlock || f == zeroBlock {
+			continue // never written back: reads as zero
 		}
 		if err := s.backend.ReadBlock(b, dst); err != nil {
 			panic(fmt.Sprintf("extmem: snapshot read block %d: %v", b, err))
