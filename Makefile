@@ -18,7 +18,10 @@ test:
 
 # Smoke-run every example program (main packages never execute under
 # `go test`); each self-checks and exits non-zero on inconsistencies.
+# `ioexp -list` reads the experiment registry without running anything,
+# so it must stay fast.
 examples:
+	timeout 20 $(GO) run ./cmd/ioexp -list
 	for d in examples/*/; do echo "=== go run ./$$d"; $(GO) run ./$$d || exit 1; done
 
 # Documentation gate: every relative markdown link must resolve (file

@@ -254,15 +254,13 @@ func BenchmarkE12ListingOverhead(b *testing.B) {
 		sp.DropCache()
 		sp.ResetStats()
 		var n uint64
-		trienum.CacheAware(sp, g, 12, graph.Counter(&n))
+		run := expt.Runner("cacheaware").Fn
+		run(sp, g, 12, graph.Counter(&n))
 		sp.Flush()
 		enum := sp.Stats().IOs()
 		sp.DropCache()
 		sp.ResetStats()
-		list, _ := trienum.ListTriangles(sp, g, 12,
-			func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-				return trienum.CacheAware(sp, g, seed, emit)
-			})
+		list, _ := trienum.ListTriangles(sp, g, 12, run)
 		sp.Flush()
 		lst := sp.Stats().IOs()
 		ratio = (float64(lst) - 2*float64(enum)) / (2 * float64(list.Len()) / float64(m.B))

@@ -6,7 +6,7 @@
 //
 //	ioexp            # run everything (several minutes)
 //	ioexp -exp E4    # run one experiment
-//	ioexp -list      # list experiments
+//	ioexp -list      # list experiment ids and titles (runs nothing)
 package main
 
 import (
@@ -18,36 +18,31 @@ import (
 	"repro/internal/expt"
 )
 
-var experimentIDs = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "EA1"}
-
 func main() {
 	exp := flag.String("exp", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
 	if *list {
-		for _, id := range experimentIDs {
-			t, err := expt.ByID(id)
-			if err != nil {
-				continue
-			}
-			fmt.Printf("%-4s %s\n", t.ID, t.Title)
+		for _, e := range expt.Experiments {
+			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return
 	}
 
-	ids := experimentIDs
+	exps := expt.Experiments
 	if *exp != "" {
-		ids = []string{*exp}
-	}
-	for _, id := range ids {
-		start := time.Now()
-		t, err := expt.ByID(id)
+		e, err := expt.ByID(*exp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		exps = []expt.Experiment{e}
+	}
+	for _, e := range exps {
+		start := time.Now()
+		t := e.Table()
 		t.Render(os.Stdout)
-		fmt.Printf("   (%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("   (%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -33,10 +33,14 @@ func main() {
 	sp.DropCache()
 	sp.ResetStats()
 
-	profile := analytics.Compute(sp, g, 1,
-		func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-			return trienum.CacheAware(sp, g, seed, emit)
-		})
+	// The paper's algorithms run on the engines that serve queries, on one
+	// worker; each run's worker I/Os are absorbed into sp.
+	one := trienum.Exec{Workers: 1}
+	cacheAware := trienum.ParallelLister(one)
+	oblivious := trienum.EngineLister(func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+		return trienum.ObliviousParallel(sp, g, seed, one, e)
+	})
+	profile := analytics.Compute(sp, g, 1, cacheAware)
 	fmt.Printf("network: %d users, %d friendships (E/M = %.0fx memory)\n",
 		g.NumVertices, g.Edges.Len(), float64(g.Edges.Len())/float64(memoryWords))
 	fmt.Printf("triangles:                   %d\n", profile.Total)
@@ -56,10 +60,10 @@ func main() {
 		run  func(*extmem.Space, graph.Canonical, graph.Emit) trienum.Info
 	}{
 		{"cacheaware (PS'14 §2)", func(sp *extmem.Space, g graph.Canonical, e graph.Emit) trienum.Info {
-			return trienum.CacheAware(sp, g, 1, e)
+			return cacheAware(sp, g, 1, e)
 		}},
 		{"oblivious  (PS'14 §3)", func(sp *extmem.Space, g graph.Canonical, e graph.Emit) trienum.Info {
-			return trienum.Oblivious(sp, g, 1, e)
+			return oblivious(sp, g, 1, e)
 		}},
 		{"hutaochung (SIGMOD'13)", trienum.HuTaoChung},
 		{"edgeiterator", baseline.EdgeIterator},

@@ -13,9 +13,8 @@ func newSpace() *extmem.Space {
 	return extmem.NewSpace(extmem.Config{M: 1 << 12, B: 1 << 6})
 }
 
-func cacheAware(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-	return trienum.CacheAware(sp, g, seed, emit)
-}
+// cacheAware is the served cache-aware engine on one worker.
+var cacheAware = trienum.ParallelLister(trienum.Exec{Workers: 1})
 
 func profileOf(t *testing.T, el graph.EdgeList) (Profile, graph.Canonical) {
 	t.Helper()
@@ -143,9 +142,9 @@ func TestProfileWithObliviousEnumerator(t *testing.T) {
 	el := graph.GNM(80, 500, 3)
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
-	p := Compute(sp, g, 4, func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-		return trienum.Oblivious(sp, g, seed, emit)
-	})
+	p := Compute(sp, g, 4, trienum.EngineLister(func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) (trienum.Info, []extmem.Stats, error) {
+		return trienum.ObliviousParallel(sp, g, seed, trienum.Exec{Workers: 1}, emit)
+	}))
 	if p.Total != graph.NewOracle(el).Count() {
 		t.Error("oblivious-backed profile wrong")
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/trienum"
 )
@@ -14,8 +15,6 @@ import (
 func EA1HighDegreeAblation() Table {
 	m := Machine{M: 1 << 8, B: 1 << 4}
 	t := Table{
-		ID:     "EA1",
-		Title:  "ablation: step 1 (high-degree vertices via Lemma 1)",
 		Claim:  "removing deg > sqrt(E·M) vertices first keeps X_ξ <= E·M on skewed graphs",
 		Header: []string{"graph", "E", "Vh", "X with", "X without", "X ratio", "IOs with", "IOs without"},
 	}
@@ -28,8 +27,8 @@ func EA1HighDegreeAblation() Table {
 		{"gnm", graph.GNM(2250, 9000, 8)},
 	}
 	for _, w := range workloads {
-		with := measureOpt(w.el, m, trienum.Options{})
-		without := measureOpt(w.el, m, trienum.Options{DisableHighDegree: true})
+		with := Measure(w.el, m, ablationRun(trienum.Options{}), 5)
+		without := Measure(w.el, m, ablationRun(trienum.Options{DisableHighDegree: true}), 5)
 		ratio := "-"
 		if with.Info.X > 0 {
 			ratio = f2(float64(without.Info.X) / float64(with.Info.X))
@@ -41,15 +40,11 @@ func EA1HighDegreeAblation() Table {
 	return t
 }
 
-func measureOpt(el graph.EdgeList, m Machine, opt trienum.Options) Measurement {
-	sp := m.space()
-	g := graph.CanonicalizeList(sp, el)
-	sp.DropCache()
-	sp.ResetStats()
-	var n uint64
-	info := trienum.CacheAwareWithOptions(sp, g, 5, opt, graph.Counter(&n))
-	sp.Flush()
-	return Measurement{IOs: sp.Stats().IOs(), Triangles: n, Info: info, Edges: g.Edges.Len()}
+// ablationRun is the served cache-aware runner with ablation knobs.
+func ablationRun(opt trienum.Options) Run {
+	return Run{"cacheaware", trienum.EngineLister(func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+		return trienum.CacheAwareParallel(sp, g, seed, opt, served, e)
+	})}
 }
 
 func hubGraph() graph.EdgeList {

@@ -18,8 +18,6 @@ import (
 func E1CacheAwareScaling() Table {
 	m := Machine{M: 1 << 11, B: 1 << 5}
 	t := Table{
-		ID:     "E1",
-		Title:  "cache-aware randomized scaling (Theorem 4)",
 		Claim:  "I/Os = O(E^1.5/(sqrt(M)·B)) in expectation",
 		Header: []string{"graph", "E", "triangles", "IOs", "IOs/bound"},
 	}
@@ -44,8 +42,6 @@ func E1CacheAwareScaling() Table {
 // as the cache it runs on changes.
 func E2ObliviousScaling() Table {
 	t := Table{
-		ID:     "E2",
-		Title:  "cache-oblivious randomized scaling (Theorem 1)",
 		Claim:  "I/Os = O(E^1.5/(sqrt(M)·B)) expected, without using M or B",
 		Header: []string{"graph", "E", "M", "B", "IOs", "IOs/bound"},
 	}
@@ -74,8 +70,6 @@ func E2ObliviousScaling() Table {
 func E3DeterministicScaling() Table {
 	m := Machine{M: 1 << 9, B: 1 << 4}
 	t := Table{
-		ID:     "E3",
-		Title:  "deterministic cache-aware scaling (Theorem 2)",
 		Claim:  "worst-case I/Os = O(E^1.5/(sqrt(M)·B)); greedy coloring keeps X_ξ < e·E·M",
 		Header: []string{"graph", "E", "colors", "X", "X/(E·M)", "IOs", "IOs/bound"},
 	}
@@ -105,8 +99,6 @@ func E3DeterministicScaling() Table {
 func E4OptimalityGap() Table {
 	m := Machine{M: 1 << 10, B: 1 << 5}
 	t := Table{
-		ID:     "E4",
-		Title:  "optimality against the Theorem 3 lower bound",
 		Claim:  "enumerating t triangles needs Ω(t/(sqrt(M)·B) + t^(2/3)/B) I/Os; the paper's algorithms are within O(1) of it",
 		Header: []string{"n", "E", "t", "LB", "cacheaware", "oblivious", "deterministic", "hutaochung"},
 	}
@@ -137,8 +129,6 @@ func E4OptimalityGap() Table {
 func E5ImprovementFactor() Table {
 	m := Machine{M: 1 << 10, B: 1 << 5}
 	t := Table{
-		ID:     "E5",
-		Title:  "improvement factor over Hu–Tao–Chung (SIGMOD 2013)",
 		Claim:  "I/O improvement = Θ(min(sqrt(E/M), sqrt(M))) — significant whenever E >> M",
 		Header: []string{"E", "E/M", "predicted", "hutaochung", "cacheaware", "measured", "measured/predicted"},
 	}
@@ -161,8 +151,6 @@ func E5ImprovementFactor() Table {
 func E6ColoringBalance() Table {
 	m := Machine{M: 1 << 9, B: 1 << 4}
 	t := Table{
-		ID:     "E6",
-		Title:  "random coloring balance (Lemma 3)",
 		Claim:  "E[X_ξ] <= E·M for 4-wise independent ξ with c = sqrt(E/M) colors",
 		Header: []string{"graph", "E", "c", "mean X", "max X", "mean X/(E·M)"},
 	}
@@ -231,8 +219,6 @@ func colorPotential(sp *extmem.Space, g graph.Canonical, c int, seed uint64, m M
 // when it does not.
 func E7MemorySweep() Table {
 	t := Table{
-		ID:     "E7",
-		Title:  "memory sensitivity at fixed E (introduction discussion)",
 		Claim:  "pipelined nested loop is adequate only when E ~ M; the gap to the optimal algorithms widens as E/M grows",
 		Header: []string{"M", "E/M", "cacheaware", "oblivious", "hutaochung", "nestedloop", "sortmerge", "edgeiterator"},
 	}
@@ -254,8 +240,6 @@ func E7MemorySweep() Table {
 func E8Comparison() Table {
 	m := Machine{M: 1 << 10, B: 1 << 5}
 	t := Table{
-		ID:     "E8",
-		Title:  "end-to-end comparison across workloads (Section 1.1)",
 		Claim:  "the paper's algorithms dominate every prior bound across graph classes",
 		Header: []string{"graph", "E", "t", "cacheaware", "oblivious", "determ", "hutaochung", "sortmerge", "edgeiter", "nestedloop"},
 	}
@@ -290,8 +274,6 @@ func E8Comparison() Table {
 func E9KClique() Table {
 	m := Machine{M: 1 << 10, B: 1 << 5}
 	t := Table{
-		ID:     "E9",
-		Title:  "k-clique extension, k=4 (Section 6)",
 		Claim:  "O(E^(k/2)/(M^(k/2-1)·B)) expected I/Os; for k=4 that is E²/(M·B)",
 		Header: []string{"graph", "E", "4-cliques", "IOs", "IOs/bound", "maxSub/E[k²M]"},
 	}
@@ -330,8 +312,6 @@ func E9KClique() Table {
 func E10Sorting() Table {
 	m := Machine{M: 1 << 10, B: 1 << 5}
 	t := Table{
-		ID:     "E10",
-		Title:  "external sorting substrate",
 		Claim:  "sort(n) = Θ((n/B)·log_{M/B}(n/B)) I/Os; funnelsort achieves it cache-obliviously",
 		Header: []string{"n", "bound", "multiway", "funnel", "binary"},
 	}
@@ -357,54 +337,47 @@ func E10Sorting() Table {
 	return t
 }
 
-// All returns every experiment table, in order.
-func All() []Table {
-	return []Table{
-		E1CacheAwareScaling(),
-		E2ObliviousScaling(),
-		E3DeterministicScaling(),
-		E4OptimalityGap(),
-		E5ImprovementFactor(),
-		E6ColoringBalance(),
-		E7MemorySweep(),
-		E8Comparison(),
-		E9KClique(),
-		E10Sorting(),
-		E11RecursionConcentration(),
-		E12ListingVsEnumeration(),
-		EA1HighDegreeAblation(),
-	}
+// Experiment is one entry of the registry: the table's id and title,
+// readable without measuring anything, and the function that measures
+// its rows.
+type Experiment struct {
+	ID    string
+	Title string
+	Run   func() Table
 }
 
-// ByID returns one experiment by its id (e.g. "E4").
-func ByID(id string) (Table, error) {
-	switch id {
-	case "E1":
-		return E1CacheAwareScaling(), nil
-	case "E2":
-		return E2ObliviousScaling(), nil
-	case "E3":
-		return E3DeterministicScaling(), nil
-	case "E4":
-		return E4OptimalityGap(), nil
-	case "E5":
-		return E5ImprovementFactor(), nil
-	case "E6":
-		return E6ColoringBalance(), nil
-	case "E7":
-		return E7MemorySweep(), nil
-	case "E8":
-		return E8Comparison(), nil
-	case "E9":
-		return E9KClique(), nil
-	case "E10":
-		return E10Sorting(), nil
-	case "E11":
-		return E11RecursionConcentration(), nil
-	case "E12":
-		return E12ListingVsEnumeration(), nil
-	case "EA1":
-		return EA1HighDegreeAblation(), nil
+// Table runs the experiment and returns its table, stamped with the
+// registry's id and title.
+func (e Experiment) Table() Table {
+	t := e.Run()
+	t.ID, t.Title = e.ID, e.Title
+	return t
+}
+
+// Experiments is the registry of every experiment, in EXPERIMENTS.md
+// order; cmd/ioexp lists and runs it.
+var Experiments = []Experiment{
+	{"E1", "cache-aware randomized scaling (Theorem 4)", E1CacheAwareScaling},
+	{"E2", "cache-oblivious randomized scaling (Theorem 1)", E2ObliviousScaling},
+	{"E3", "deterministic cache-aware scaling (Theorem 2)", E3DeterministicScaling},
+	{"E4", "optimality against the Theorem 3 lower bound", E4OptimalityGap},
+	{"E5", "improvement factor over Hu–Tao–Chung (SIGMOD 2013)", E5ImprovementFactor},
+	{"E6", "random coloring balance (Lemma 3)", E6ColoringBalance},
+	{"E7", "memory sensitivity at fixed E (introduction discussion)", E7MemorySweep},
+	{"E8", "end-to-end comparison across workloads (Section 1.1)", E8Comparison},
+	{"E9", "k-clique extension, k=4 (Section 6)", E9KClique},
+	{"E10", "external sorting substrate", E10Sorting},
+	{"E11", "recursion concentration (Lemmas 4 and 5)", E11RecursionConcentration},
+	{"E12", "enumeration vs listing (Section 1)", E12ListingVsEnumeration},
+	{"EA1", "ablation: step 1 (high-degree vertices via Lemma 1)", EA1HighDegreeAblation},
+}
+
+// ByID returns the experiment with the given id (e.g. "E4").
+func ByID(id string) (Experiment, error) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, nil
+		}
 	}
-	return Table{}, fmt.Errorf("expt: unknown experiment %q", id)
+	return Experiment{}, fmt.Errorf("expt: unknown experiment %q", id)
 }

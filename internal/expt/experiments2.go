@@ -3,7 +3,6 @@ package expt
 import (
 	"math"
 
-	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/trienum"
 )
@@ -14,8 +13,6 @@ import (
 // copies E·2^i (each edge survives into about two of the eight children).
 func E11RecursionConcentration() Table {
 	t := Table{
-		ID:     "E11",
-		Title:  "recursion concentration (Lemmas 4 and 5)",
 		Claim:  "E[size of a level-i subproblem] = E/4^i; total level-i edges ~ E·2^i; sizes concentrate (Chebyshev)",
 		Header: []string{"level", "subproblems", "total edges", "total/(E·2^i)", "mean size", "mean/(E/4^i)", "max size"},
 	}
@@ -49,8 +46,6 @@ func E11RecursionConcentration() Table {
 func E12ListingVsEnumeration() Table {
 	m := Machine{M: 1 << 11, B: 1 << 5}
 	t := Table{
-		ID:     "E12",
-		Title:  "enumeration vs listing (Section 1)",
 		Claim:  "listing costs an extra Theta(t/B) I/Os over enumeration; enumeration avoids materializing the output",
 		Header: []string{"graph", "E", "t", "2t/B", "enumIOs", "listIOs", "extra/(2t/B)"},
 	}
@@ -69,7 +64,8 @@ func E12ListingVsEnumeration() Table {
 		sp.DropCache()
 		sp.ResetStats()
 		var n uint64
-		trienum.CacheAware(sp, g, 12, graph.Counter(&n))
+		run := Runner("cacheaware").Fn
+		run(sp, g, 12, graph.Counter(&n))
 		sp.Flush()
 		enumIOs := sp.Stats().IOs()
 
@@ -78,10 +74,7 @@ func E12ListingVsEnumeration() Table {
 		// the sequential output traffic ~ 2·t·stride/B (write + flush).
 		sp.DropCache()
 		sp.ResetStats()
-		list, _ := trienum.ListTriangles(sp, g, 12,
-			func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-				return trienum.CacheAware(sp, g, seed, emit)
-			})
+		list, _ := trienum.ListTriangles(sp, g, 12, run)
 		sp.Flush()
 		listIOs := sp.Stats().IOs()
 

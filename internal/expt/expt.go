@@ -83,25 +83,27 @@ func (m Machine) space() *extmem.Space {
 // Run names an algorithm runner over canonical graphs.
 type Run struct {
 	Name string
-	Fn   func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info
+	Fn   trienum.Lister
 }
 
-// Runners returns every algorithm under measurement.
+// served is how the experiments run the paper's three algorithms: on the
+// engines that serve queries, with one worker. The engines' streams and
+// I/O totals are the same at every worker count, so the worker count
+// changes only how many goroutines a measurement uses.
+var served = trienum.Exec{Workers: 1}
+
+// Runners returns every algorithm under measurement. The paper's
+// algorithms absorb their workers' I/Os into the measured Space, so
+// sp.Stats() is each run's full cost.
 func Runners() []Run {
 	return []Run{
-		{"cacheaware", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) trienum.Info {
-			return trienum.CacheAware(sp, g, seed, e)
-		}},
-		{"oblivious", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) trienum.Info {
-			return trienum.Oblivious(sp, g, seed, e)
-		}},
-		{"deterministic", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) trienum.Info {
-			info, err := trienum.Deterministic(sp, g, 0, e)
-			if err != nil {
-				panic(err)
-			}
-			return info
-		}},
+		{"cacheaware", trienum.ParallelLister(served)},
+		{"oblivious", trienum.EngineLister(func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.ObliviousParallel(sp, g, seed, served, e)
+		})},
+		{"deterministic", trienum.EngineLister(func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.DeterministicParallel(sp, g, 0, served, e)
+		})},
 		{"hutaochung", func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) trienum.Info {
 			return trienum.HuTaoChung(sp, g, e)
 		}},

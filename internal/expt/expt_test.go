@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/extmem"
 	"repro/internal/graph"
+	"repro/internal/trienum"
 )
 
 func TestTableRender(t *testing.T) {
@@ -40,6 +42,50 @@ func TestMeasureCountsColdIOs(t *testing.T) {
 	}
 	if ms.Edges != 780 {
 		t.Errorf("edges %d", ms.Edges)
+	}
+}
+
+// TestMeasureCountsWorkerIOs: for each runner on a served engine,
+// Measure reports the run's full cost — the coordinator's I/Os plus every
+// worker's — not only the coordinator's share.
+func TestMeasureCountsWorkerIOs(t *testing.T) {
+	el := graph.Clique(64)
+	m := Machine{M: 1 << 10, B: 1 << 5}
+	engines := map[string]func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, []extmem.Stats, error){
+		"cacheaware": func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.CacheAwareParallel(sp, g, 1, trienum.Options{}, served, emit)
+		},
+		"oblivious": func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.ObliviousParallel(sp, g, 1, served, emit)
+		},
+		"deterministic": func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.DeterministicParallel(sp, g, 0, served, emit)
+		},
+	}
+	for name, run := range engines {
+		sp := m.space()
+		g := graph.CanonicalizeList(sp, el)
+		sp.DropCache()
+		sp.ResetStats()
+		var n uint64
+		_, ws, err := run(sp, g, graph.Counter(&n))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sp.Flush()
+		want := sp.Stats()
+		var workerIOs uint64
+		for _, w := range ws {
+			want.Add(w)
+			workerIOs += w.IOs()
+		}
+		if workerIOs == 0 {
+			t.Fatalf("%s: workers did no I/O; the check below would be vacuous", name)
+		}
+		if got := Measure(el, m, Runner(name), 1); got.IOs != want.IOs() {
+			t.Errorf("%s: Measure reports %d I/Os, coordinator plus workers did %d (workers alone %d)",
+				name, got.IOs, want.IOs(), workerIOs)
+		}
 	}
 }
 

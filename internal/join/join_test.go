@@ -1,185 +1,6 @@
 package join
 
-import (
-	"fmt"
-	"sort"
-	"testing"
-)
-
-// fifthNormalFormRelation builds a relation satisfying the 5NF join
-// dependency: each salesperson sells all of B_s × T_s for personal sets
-// B_s, T_s restricted to available (brand, type) pairs... To guarantee
-// lossless reconstruction we close the relation under the join dependency.
-func fifthNormalFormRelation() []Row {
-	base := []Row{
-		{"ann", "acme", "vacuum"},
-		{"ann", "acme", "toaster"},
-		{"ann", "bolt", "vacuum"},
-		{"bob", "bolt", "toaster"},
-		{"bob", "cord", "kettle"},
-		{"eve", "acme", "kettle"},
-	}
-	return joinClosure(base)
-}
-
-// joinClosure closes rows under the ternary join dependency, so that the
-// decomposition is lossless (the relation is the join of its projections).
-func joinClosure(rows []Row) []Row {
-	set := map[Row]bool{}
-	for _, r := range rows {
-		set[r] = true
-	}
-	for {
-		dec := decomposeSet(set)
-		added := false
-		for _, r := range joinNaive(dec) {
-			if !set[r] {
-				set[r] = true
-				added = true
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	var out []Row
-	for r := range set {
-		out = append(out, r)
-	}
-	sortRows(out)
-	return out
-}
-
-func decomposeSet(set map[Row]bool) Decomposition {
-	var rows []Row
-	for r := range set {
-		rows = append(rows, r)
-	}
-	return Decompose(rows)
-}
-
-// joinNaive is an in-memory nested-loop reference join.
-func joinNaive(d Decomposition) []Row {
-	bt := map[string][]string{}
-	for _, p := range d.BT {
-		bt[p.A] = append(bt[p.A], p.B)
-	}
-	st := map[Pair]bool{}
-	for _, p := range d.ST {
-		st[p] = true
-	}
-	var out []Row
-	for _, p := range d.SB {
-		for _, ty := range bt[p.B] {
-			if st[Pair{p.A, ty}] {
-				out = append(out, Row{p.A, p.B, ty})
-			}
-		}
-	}
-	sortRows(out)
-	return out
-}
-
-func sortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Salesperson != b.Salesperson {
-			return a.Salesperson < b.Salesperson
-		}
-		if a.Brand != b.Brand {
-			return a.Brand < b.Brand
-		}
-		return a.ProductType < b.ProductType
-	})
-}
-
-func TestJoinReconstructsRelation(t *testing.T) {
-	rel := fifthNormalFormRelation()
-	dec := Decompose(rel)
-	for _, alg := range []Algorithm{CacheAware, CacheOblivious, Deterministic, HuTaoChung} {
-		var got []Row
-		stats, err := dec.Join(Options{Algorithm: alg, Seed: 5}, func(r Row) {
-			got = append(got, r)
-		})
-		if err != nil {
-			t.Fatalf("alg %d: %v", alg, err)
-		}
-		sortRows(got)
-		if len(got) != len(rel) {
-			t.Fatalf("alg %d: %d rows, want %d\ngot:  %v\nwant: %v", alg, len(got), len(rel), got, rel)
-		}
-		for i := range rel {
-			if got[i] != rel[i] {
-				t.Fatalf("alg %d row %d: %v != %v", alg, i, got[i], rel[i])
-			}
-		}
-		if stats.Rows != uint64(len(rel)) {
-			t.Errorf("alg %d: Stats.Rows=%d want %d", alg, stats.Rows, len(rel))
-		}
-	}
-}
-
-func TestJoinMatchesNaiveOnRandomRelations(t *testing.T) {
-	// Random decompositions (not necessarily from a 5NF relation): the
-	// triangle join must agree with the naive in-memory join of the three
-	// projections.
-	for trial := 0; trial < 5; trial++ {
-		var dec Decomposition
-		nS, nB, nT := 8+trial, 6, 7
-		for s := 0; s < nS; s++ {
-			for b := 0; b < nB; b++ {
-				if (s*7+b*3+trial)%3 == 0 {
-					dec.SB = append(dec.SB, Pair{name("s", s), name("b", b)})
-				}
-			}
-		}
-		for b := 0; b < nB; b++ {
-			for ty := 0; ty < nT; ty++ {
-				if (b*5+ty+trial)%2 == 0 {
-					dec.BT = append(dec.BT, Pair{name("b", b), name("t", ty)})
-				}
-			}
-		}
-		for s := 0; s < nS; s++ {
-			for ty := 0; ty < nT; ty++ {
-				if (s+ty*11+trial)%4 != 1 {
-					dec.ST = append(dec.ST, Pair{name("s", s), name("t", ty)})
-				}
-			}
-		}
-		want := joinNaive(dec)
-		var got []Row
-		if _, err := dec.Join(Options{Algorithm: CacheOblivious, Seed: uint64(trial)}, func(r Row) {
-			got = append(got, r)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sortRows(got)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d row %d: %v != %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestJoinEmptyInput(t *testing.T) {
-	var dec Decomposition
-	stats, err := dec.Join(Options{}, func(Row) { t.Fatal("no rows expected") })
-	if err != nil || stats.Rows != 0 {
-		t.Errorf("empty join: stats=%v err=%v", stats, err)
-	}
-}
-
-func TestJoinRejectsBadMachine(t *testing.T) {
-	var dec Decomposition
-	if _, err := dec.Join(Options{MemoryWords: 100, BlockWords: 33}, func(Row) {}); err == nil {
-		t.Error("non-power-of-two block size accepted")
-	}
-}
+import "testing"
 
 func TestDecomposeDeduplicates(t *testing.T) {
 	rows := []Row{{"a", "b", "c"}, {"a", "b", "d"}}
@@ -191,5 +12,3 @@ func TestDecomposeDeduplicates(t *testing.T) {
 		t.Errorf("BT=%d ST=%d, want 2 and 2", len(dec.BT), len(dec.ST))
 	}
 }
-
-func name(prefix string, i int) string { return fmt.Sprintf("%s%02d", prefix, i) }

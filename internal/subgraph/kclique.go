@@ -227,12 +227,12 @@ func pow(b, e int) int {
 }
 
 // CountTriangles sanity-bridges k=3 to the triangle algorithms: the
-// 3-clique count must equal what trienum reports.
+// 3-clique count must equal what trienum's cache-aware engine reports.
 func CountTriangles(sp *extmem.Space, g graph.Canonical, seed uint64) (uint64, uint64) {
 	var viaK uint64
 	info, _ := KClique(nil, sp, g, 3, seed, func([]uint32) {})
 	viaK = info.Cliques
 	var viaT uint64
-	trienum.CacheAware(sp, g, seed, graph.Counter(&viaT))
+	trienum.ParallelLister(trienum.Exec{Workers: 1})(sp, g, seed, graph.Counter(&viaT))
 	return viaK, viaT
 }

@@ -20,9 +20,12 @@ func TestAblationHighDegreeCorrectness(t *testing.T) {
 		sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 		g := graph.CanonicalizeList(sp, el)
 		var got []graph.Triple
-		info := CacheAwareWithOptions(sp, g, 7, Options{DisableHighDegree: true}, func(a, b, c uint32) {
+		info, _, err := CacheAwareParallel(sp, g, 7, Options{DisableHighDegree: true}, Exec{Workers: 1}, func(a, b, c uint32) {
 			got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ok, diag := oracle.SameSet(got); !ok {
 			t.Errorf("%s: ablated algorithm wrong: %s", name, diag)
 		}
@@ -47,7 +50,11 @@ func TestAblationHighDegreeReducesX(t *testing.T) {
 		sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 		g := graph.CanonicalizeList(sp, el)
 		var n uint64
-		return CacheAwareWithOptions(sp, g, 5, opt, graph.Counter(&n))
+		info, _, err := CacheAwareParallel(sp, g, 5, opt, Exec{Workers: 1}, graph.Counter(&n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
 	}
 	with := run(Options{})
 	without := run(Options{DisableHighDegree: true})
@@ -59,35 +66,6 @@ func TestAblationHighDegreeReducesX(t *testing.T) {
 	}
 	t.Logf("X with step1=%d, without=%d (%.1fx), high-degree vertices=%d",
 		with.X, without.X, float64(without.X)/float64(with.X), with.HighDegVertices)
-}
-
-// TestForceColorsOneIsHuTaoChung: c=1 without a high-degree step must
-// measure like the baseline on the same machine.
-func TestForceColorsOneIsHuTaoChung(t *testing.T) {
-	el := graph.GNM(200, 2000, 9)
-	measure := func(run func(sp *extmem.Space, g graph.Canonical) Info) (uint64, uint64) {
-		sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
-		g := graph.CanonicalizeList(sp, el)
-		sp.DropCache()
-		sp.ResetStats()
-		info := run(sp, g)
-		sp.Flush()
-		return sp.Stats().IOs(), info.Triangles
-	}
-	var n uint64
-	degenIOs, degenT := measure(func(sp *extmem.Space, g graph.Canonical) Info {
-		return CacheAwareWithOptions(sp, g, 5, Options{DisableHighDegree: true, ForceColors: 1}, graph.Counter(&n))
-	})
-	huIOs, huT := measure(func(sp *extmem.Space, g graph.Canonical) Info {
-		return HuTaoChung(sp, g, graph.Counter(&n))
-	})
-	if degenT != huT {
-		t.Fatalf("counts differ: %d vs %d", degenT, huT)
-	}
-	// The degenerate path adds one extra sort of the edge list; allow 2x.
-	if degenIOs > 2*huIOs+64 {
-		t.Errorf("degenerate c=1 run used %d I/Os vs HuTaoChung %d; expected comparable", degenIOs, huIOs)
-	}
 }
 
 func starPlusClique() graph.EdgeList {

@@ -23,13 +23,13 @@ func TestParallelCtxCancellation(t *testing.T) {
 	g := graph.CanonicalizeList(sp, el)
 
 	var full uint64
-	if _, _, err := CacheAwareParallel(sp, g, 5, Exec{Workers: 4}, graph.Counter(&full)); err != nil {
+	if _, _, err := CacheAwareParallel(sp, g, 5, Options{}, Exec{Workers: 4}, graph.Counter(&full)); err != nil {
 		t.Fatal(err)
 	}
 
 	engines := map[string]func(exec Exec, emit graph.Emit) error{
 		"cacheaware": func(exec Exec, emit graph.Emit) error {
-			_, _, err := CacheAwareParallel(sp, g, 5, exec, emit)
+			_, _, err := CacheAwareParallel(sp, g, 5, Options{}, exec, emit)
 			return err
 		},
 		"deterministic": func(exec Exec, emit graph.Emit) error {
@@ -73,7 +73,7 @@ func TestParallelCtxCancellation(t *testing.T) {
 
 		// The Space is reusable after a cancelled run.
 		var again uint64
-		if _, _, err := CacheAwareParallel(sp, g, 5, Exec{Workers: 4}, graph.Counter(&again)); err != nil {
+		if _, _, err := CacheAwareParallel(sp, g, 5, Options{}, Exec{Workers: 4}, graph.Counter(&again)); err != nil {
 			t.Fatalf("%s: run after cancellation: %v", name, err)
 		}
 		if again != full {

@@ -17,7 +17,7 @@ import (
 // not specify one.
 const DefaultFamilySize = 256
 
-// Deterministic enumerates all triangles of g with the derandomized
+// DeterministicParallel enumerates all triangles of g with the derandomized
 // cache-aware algorithm of Section 4 in O(E^1.5/(sqrt(M)·B)) worst-case
 // I/Os, assuming M >= E^ε.
 //
@@ -36,32 +36,57 @@ const DefaultFamilySize = 256
 // error instead of silently degrading. The final coloring satisfies
 // X_ξ < e·E·M, which is what the Theorem 4 analysis needs.
 //
-// familySize <= 0 selects DefaultFamilySize.
-func Deterministic(sp *extmem.Space, g graph.Canonical, familySize int, emit graph.Emit) (Info, error) {
+// The greedy construction is inherently sequential and runs on the
+// coordinator, checking exec.Ctx between levels; the high-degree passes
+// and the color-triple kernels run on the worker-pool engine as in
+// CacheAwareParallel, with the same return values and the same
+// worker-count invariance. familySize <= 0 selects DefaultFamilySize.
+func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
 	E := g.Edges.Len()
 	if E == 0 {
-		return info, nil
+		return info, nil, ctxutil.Err(exec.Ctx)
 	}
-	cfg := sp.Config()
+	ctx := exec.Ctx
+	if err := ctxutil.Err(ctx); err != nil {
+		return info, nil, err
+	}
+	workers := exec.workers()
 	mark := sp.Mark()
 	defer sp.Release(mark)
 
 	work := sp.Alloc(E)
 	g.Edges.CopyTo(work)
-	scratch := sp.Alloc(E)
 
-	// Step 1 (shared with the randomized algorithm; it is deterministic).
-	curLen := highDegreeStep(sp, work, scratch, g, float64(cfg.M), emsort.SortRecords, nil, emit, &info)
+	curLen, workerStats, err := highDegreeParallel(ctx, sp, work, g, workers, emit, &info)
+	if err != nil {
+		return info, workerStats, err
+	}
 	edges := work.Prefix(curLen)
 
-	colorOf, c, err := buildDeterministicColoring(nil, sp, g, edges, familySize, emsort.SortRecords, &info)
-	if err != nil {
-		return info, err
+	// The greedy bit selection is inherently sequential, but the
+	// endpoint-doubled list it scans is ordered by the parallel sort. A
+	// cancellation inside the sort is recorded and surfaces right after
+	// the coloring construction unwinds.
+	var sortErr error
+	sorter := func(ext extmem.Extent, stride int, key emsort.Key) {
+		if sortErr != nil {
+			return
+		}
+		ws, err := emsort.ParallelSortRecordsCtx(ctx, ext, stride, key, workers)
+		workerStats = extmem.AddStatsVec(workerStats, ws)
+		sortErr = err
 	}
-	solveColored(sp, edges, colorOf, c, &info, emit)
-	return info, nil
+	colorOf, c, err := buildDeterministicColoring(ctx, sp, g, edges, familySize, sorter, &info)
+	if sortErr != nil {
+		return info, workerStats, sortErr
+	}
+	if err != nil {
+		return info, workerStats, err
+	}
+	ws, err := solveColoredParallel(ctx, sp, edges, colorOf, c, workers, &info, emit)
+	return info, extmem.AddStatsVec(workerStats, ws), err
 }
 
 // buildDeterministicColoring runs the greedy derandomization of Section 4

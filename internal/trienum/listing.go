@@ -34,18 +34,27 @@ func unpackTriple(w0, w1 extmem.Word) (a, b, c uint32) {
 // Lister runs an enumeration algorithm, materializing its output.
 type Lister func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info
 
-// ParallelLister adapts the worker-pool cache-aware engine to the Lister
-// signature, so listing experiments can exercise the parallel path. The
+// ParallelLister adapts the cache-aware engine to the Lister signature,
+// so listing experiments exercise the engine that serves queries. The
 // engine's emission stream is deterministic in the seed and the graph, so
-// the two passes of ListTriangles agree as required. The workers' I/Os
-// are absorbed into sp, keeping sp.Stats() the full cost of the run.
+// the two passes of ListTriangles agree as required.
 func ParallelLister(exec Exec) Lister {
+	return EngineLister(func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) (Info, []extmem.Stats, error) {
+		return CacheAwareParallel(sp, g, seed, Options{}, exec, emit)
+	})
+}
+
+// EngineLister adapts one run of an engine entry point (with its
+// algorithm-specific arguments bound) to the Lister signature. The
+// workers' I/Os are absorbed into sp, keeping sp.Stats() the full cost of
+// the run. Listers have no error channel, so an engine error — a
+// cancelled exec.Ctx, or the deterministic algorithm's invariant check —
+// panics.
+func EngineLister(run func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) (Info, []extmem.Stats, error)) Lister {
 	return func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-		// Listers have no error channel; the adapter is only used without a
-		// cancellable exec context, so the engine cannot return an error.
-		info, workerStats, err := CacheAwareParallel(sp, g, seed, exec, emit)
+		info, workerStats, err := run(sp, g, seed, emit)
 		if err != nil {
-			panic(fmt.Sprintf("trienum: ParallelLister run cancelled: %v", err))
+			panic(fmt.Sprintf("trienum: engine run failed: %v", err))
 		}
 		for _, w := range workerStats {
 			sp.Absorb(w)

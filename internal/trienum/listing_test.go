@@ -16,9 +16,7 @@ func listWith(t *testing.T, el graph.EdgeList, run Lister) (*extmem.Space, graph
 	return sp, g, list
 }
 
-func cacheAwareLister(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-	return CacheAware(sp, g, seed, emit)
-}
+var cacheAwareLister = ParallelLister(Exec{Workers: 1})
 
 func TestListTrianglesMatchesOracle(t *testing.T) {
 	el := graph.PlantedClique(80, 300, 10, 4)
@@ -42,9 +40,9 @@ func TestListTrianglesMatchesOracle(t *testing.T) {
 
 func TestListTrianglesObliviousLister(t *testing.T) {
 	el := graph.GNM(60, 350, 8)
-	sp, g, list := listWith(t, el, func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-		return Oblivious(sp, g, seed, emit)
-	})
+	sp, g, list := listWith(t, el, EngineLister(func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) (Info, []extmem.Stats, error) {
+		return ObliviousParallel(sp, g, seed, Exec{Workers: 1}, emit)
+	}))
 	if uint64(ListLen(list)) != graph.NewOracle(el).Count() {
 		t.Fatal("oblivious listing count mismatch")
 	}
@@ -120,7 +118,7 @@ func TestListingCostsOutputTraffic(t *testing.T) {
 	sp.DropCache()
 	sp.ResetStats()
 	var n uint64
-	CacheAware(sp, g, 3, graph.Counter(&n))
+	cacheAwareLister(sp, g, 3, graph.Counter(&n))
 	sp.Flush()
 	enumIOs := sp.Stats().IOs()
 
@@ -144,7 +142,10 @@ func TestRecursionInstrumentation(t *testing.T) {
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info := Oblivious(sp, g, 1, graph.Counter(&n))
+	info, _, err := ObliviousParallel(sp, g, 1, Exec{Workers: 1}, graph.Counter(&n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(info.Recursion) == 0 {
 		t.Fatal("no recursion levels recorded")
 	}

@@ -21,7 +21,7 @@ import (
 // at an internal node is as safe as at depth log4(E).
 const obliviousBaseCutoff = 24
 
-// Oblivious enumerates all triangles of g with the cache-oblivious
+// ObliviousCtx enumerates all triangles of g with the cache-oblivious
 // randomized algorithm of Section 3, using O(E^1.5/(sqrt(M)·B)) expected
 // I/Os and O(E) words of disk without ever consulting M or B.
 //
@@ -31,16 +31,14 @@ const obliviousBaseCutoff = 24
 // bit per vertex, and recurses into the eight color-vector subproblems,
 // each repartitioned in place so that total disk stays O(E). Leaves are
 // solved with Dementiev's sort-merge algorithm.
-func Oblivious(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-	info, _ := ObliviousCtx(nil, sp, g, seed, emit)
-	return info
-}
-
-// ObliviousCtx is Oblivious with cooperative cancellation: ctx (which may
-// be nil) is checked at every recursion node, between the per-vertex
-// Lemma 1 passes inside a node, and inside the Dementiev base cases. On
-// cancellation the run unwinds and returns ctx.Err(); the triangles
-// emitted before it are a prefix of the full stream.
+//
+// This is the recursion itself, run on one Space: ObliviousParallel
+// (the served engine) runs it for every subtree below its split frontier,
+// and its emission stream is pinned byte for byte to this function's.
+// ctx (which may be nil) is checked at every recursion node, between the
+// per-vertex Lemma 1 passes inside a node, and inside the Dementiev base
+// cases. On cancellation the run unwinds and returns ctx.Err(); the
+// triangles emitted before it are a prefix of the full stream.
 func ObliviousCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) (Info, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
@@ -85,9 +83,9 @@ func ObliviousCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, seed
 // Rands with Split(bits). A node's random choices — and hence its entire
 // subtree's emission stream — are therefore a pure function of (segment
 // edge set, color vector, depth, chain, node Rand), independent of
-// whatever its siblings do. That is what lets the parallel planner
-// (oblivious_parallel.go) hand subtrees to workers and reproduce the
-// sequential stream exactly.
+// whatever its siblings do. That is what lets the planner
+// (oblivious_parallel.go) hand subtrees to workers and still emit
+// ObliviousCtx's stream exactly.
 type oblivious struct {
 	sp       *extmem.Space
 	ctx      context.Context

@@ -36,7 +36,7 @@ var parallelEngines = []struct {
 	run  func(sp *extmem.Space, g graph.Canonical, exec Exec, emit graph.Emit) (Info, []extmem.Stats)
 }{
 	{"cacheaware", func(sp *extmem.Space, g graph.Canonical, exec Exec, emit graph.Emit) (Info, []extmem.Stats) {
-		info, ws, err := CacheAwareParallel(sp, g, 12345, exec, emit)
+		info, ws, err := CacheAwareParallel(sp, g, 12345, Options{}, exec, emit)
 		if err != nil {
 			panic(err)
 		}
@@ -119,30 +119,20 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialTriangleSet: the engine finds exactly the
-// set the sequential reference path finds (order and I/O accounting may
-// differ between the two paths; the set may not).
+// TestParallelMatchesSequentialTriangleSet: every engine finds exactly
+// the in-memory oracle's triangle set, each triangle once, both when run
+// sequentially (one worker) and in parallel.
 func TestParallelMatchesSequentialTriangleSet(t *testing.T) {
 	cfg := extmem.Config{M: 1 << 8, B: 1 << 4}
 	for name, el := range parallelWorkloads() {
 		t.Run(name, func(t *testing.T) {
-			sp := extmem.NewSpace(cfg)
-			g := graph.CanonicalizeList(sp, el)
-			var seq []graph.Triple
-			CacheAware(sp, g, 12345, func(a, b, c uint32) {
-				seq = append(seq, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
-			})
-			par, _, _ := parallelRun(t, el, cfg, 4, parallelEngines[0].run)
-			want := map[graph.Triple]int{}
-			for _, tr := range seq {
-				want[tr]++
-			}
-			for _, tr := range par {
-				want[tr]--
-			}
-			for tr, n := range want {
-				if n != 0 {
-					t.Fatalf("triangle %v: sequential-parallel multiplicity diff %d", tr, n)
+			oracle := graph.NewOracle(el)
+			for _, eng := range parallelEngines {
+				for _, workers := range []int{1, 4} {
+					got, _, _ := parallelRun(t, el, cfg, workers, eng.run)
+					if ok, diag := oracle.SameSet(got); !ok {
+						t.Errorf("%s, workers=%d: %s", eng.name, workers, diag)
+					}
 				}
 			}
 		})
@@ -265,7 +255,7 @@ func TestParallelEmitPanicDoesNotLeakWorkers(t *testing.T) {
 			}
 		}()
 		n := 0
-		CacheAwareParallel(sp, g, 1, Exec{Workers: 4}, func(_, _, _ uint32) {
+		CacheAwareParallel(sp, g, 1, Options{}, Exec{Workers: 4}, func(_, _, _ uint32) {
 			n++
 			if n == 10 {
 				panic("emit failure")
@@ -295,7 +285,7 @@ func TestParallelListerAbsorbsWorkerIOs(t *testing.T) {
 	ref.DropCache()
 	ref.ResetStats()
 	var n uint64
-	_, ws, _ := CacheAwareParallel(ref, gr, 9, Exec{Workers: 2}, graph.Counter(&n))
+	_, ws, _ := CacheAwareParallel(ref, gr, 9, Options{}, Exec{Workers: 2}, graph.Counter(&n))
 	want := ref.Stats()
 	for _, w := range ws {
 		want.Add(w)
@@ -322,7 +312,7 @@ func TestParallelWorkerStatsBreakdown(t *testing.T) {
 	sp := extmem.NewSpace(cfg)
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	_, ws, _ := CacheAwareParallel(sp, g, 4, Exec{Workers: 3}, graph.Counter(&n))
+	_, ws, _ := CacheAwareParallel(sp, g, 4, Options{}, Exec{Workers: 3}, graph.Counter(&n))
 	if len(ws) == 0 {
 		t.Fatal("no worker stats returned")
 	}

@@ -68,38 +68,9 @@ func TestQuickRelabelingInvariance(t *testing.T) {
 		g1 := graph.CanonicalizeList(sp1, el)
 		g2 := graph.CanonicalizeList(sp2, relabeled)
 		var n1, n2 uint64
-		CacheAware(sp1, g1, 1, graph.Counter(&n1))
-		CacheAware(sp2, g2, 1, graph.Counter(&n2))
+		CacheAwareParallel(sp1, g1, 1, Options{}, Exec{Workers: 1}, graph.Counter(&n1))
+		CacheAwareParallel(sp2, g2, 1, Options{}, Exec{Workers: 1}, graph.Counter(&n2))
 		return n1 == n2
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: removing a vertex's edges removes exactly the Lemma-1
-// triangles of that vertex from the graph's total.
-func TestQuickRemoveIncidentConsistency(t *testing.T) {
-	prop := func(seed uint64, vRaw uint8) bool {
-		el := graph.GNM(30, 150, seed)
-		sp := newSpace()
-		g := graph.CanonicalizeList(sp, el)
-		if g.NumVertices == 0 {
-			return true
-		}
-		v := uint32(int(vRaw) % g.NumVertices)
-		var through uint64
-		enumerateContaining(sp, g.Edges, v, emsort.SortRecords, func(_, _ uint32) { through++ })
-
-		work := sp.Alloc(g.Edges.Len())
-		g.Edges.CopyTo(work)
-		scratch := sp.Alloc(g.Edges.Len())
-		kept := removeIncident(work, scratch, v)
-		var after uint64
-		kernel(sp, work.Prefix(kept), work.Prefix(kept), 0, nil, func(_, _, _ uint32) { after++ })
-		var before uint64
-		kernel(sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { before++ })
-		return before == after+through
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -116,7 +87,7 @@ func TestQuickObliviousMatchesKernel(t *testing.T) {
 		sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 		g := graph.CanonicalizeList(sp, el)
 		var a, b uint64
-		Oblivious(sp, g, seed^0xabc, graph.Counter(&a))
+		ObliviousParallel(sp, g, seed^0xabc, Exec{Workers: 1}, graph.Counter(&a))
 		kernel(sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { b++ })
 		return a == b
 	}

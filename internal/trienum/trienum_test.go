@@ -18,28 +18,24 @@ func smallSpace() *extmem.Space {
 	return extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 }
 
-// runAlg runs the named algorithm and returns emitted triples in original
-// vertex ids plus the Info.
+// algorithm is one entry of the oracle suite's roster.
 type algorithm struct {
 	name string
 	run  func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info
 }
 
-var algorithms = []algorithm{
-	{"cacheaware", func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
-		return CacheAware(sp, g, 12345, emit)
-	}},
-	{"oblivious", func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
-		return Oblivious(sp, g, 12345, emit)
-	}},
-	{"deterministic", func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
-		info, err := Deterministic(sp, g, 0, emit)
-		if err != nil {
-			panic(err)
-		}
-		return info
-	}},
-}
+// algorithms is the roster: the three served engines (parallelEngines),
+// each on one worker.
+var algorithms = func() []algorithm {
+	var algs []algorithm
+	for _, eng := range parallelEngines {
+		algs = append(algs, algorithm{eng.name, func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
+			info, _ := eng.run(sp, g, Exec{Workers: 1}, emit)
+			return info
+		}})
+	}
+	return algs
+}()
 
 func enumerate(t *testing.T, sp *extmem.Space, el graph.EdgeList, alg algorithm) ([]graph.Triple, Info) {
 	t.Helper()
@@ -117,9 +113,13 @@ func TestSeedIndependence(t *testing.T) {
 	el := graph.GNM(80, 500, 20)
 	oracle := graph.NewOracle(el)
 	for _, seed := range []uint64{1, 2, 99999, ^uint64(0)} {
-		for _, run := range []func(sp *extmem.Space, g graph.Canonical, e graph.Emit) Info{
-			func(sp *extmem.Space, g graph.Canonical, e graph.Emit) Info { return CacheAware(sp, g, seed, e) },
-			func(sp *extmem.Space, g graph.Canonical, e graph.Emit) Info { return Oblivious(sp, g, seed, e) },
+		for _, run := range []func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (Info, []extmem.Stats, error){
+			func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (Info, []extmem.Stats, error) {
+				return CacheAwareParallel(sp, g, seed, Options{}, Exec{Workers: 1}, e)
+			},
+			func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (Info, []extmem.Stats, error) {
+				return ObliviousParallel(sp, g, seed, Exec{Workers: 1}, e)
+			},
 		} {
 			sp := newSpace()
 			g := graph.CanonicalizeList(sp, el)
@@ -308,7 +308,7 @@ func TestDeterministicInvariantRecorded(t *testing.T) {
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 6, B: 1 << 3})
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info, err := Deterministic(sp, g, 0, graph.Counter(&n))
+	info, _, err := DeterministicParallel(sp, g, 0, Exec{Workers: 1}, graph.Counter(&n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,10 @@ func TestCacheAwareInfoFields(t *testing.T) {
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info := CacheAware(sp, g, 7, graph.Counter(&n))
+	info, _, err := CacheAwareParallel(sp, g, 7, Options{}, Exec{Workers: 1}, graph.Counter(&n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.Colors < 2 {
 		t.Errorf("expected multiple colors with E=%d >> M=%d, got c=%d", g.Edges.Len(), sp.Config().M, info.Colors)
 	}
@@ -353,7 +356,10 @@ func TestObliviousInfoFields(t *testing.T) {
 	sp := smallSpace()
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info := Oblivious(sp, g, 3, graph.Counter(&n))
+	info, _, err := ObliviousParallel(sp, g, 3, Exec{Workers: 1}, graph.Counter(&n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.Subproblems < 8 {
 		t.Errorf("recursion did not branch: %d subproblems", info.Subproblems)
 	}

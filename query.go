@@ -250,7 +250,7 @@ func (g *Graph) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c ui
 	var workerStats []extmem.Stats
 	switch q.Algorithm {
 	case CacheAware:
-		info, workerStats, err = trienum.CacheAwareParallel(s.sp, s.cg, q.Seed, exec, wrapped)
+		info, workerStats, err = trienum.CacheAwareParallel(s.sp, s.cg, q.Seed, trienum.Options{}, exec, wrapped)
 		res.Workers = workers
 	case CacheOblivious:
 		info, workerStats, err = trienum.ObliviousParallel(s.sp, s.cg, q.Seed, exec, wrapped)
