@@ -17,6 +17,7 @@
 package emsort
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/extmem"
@@ -233,36 +234,68 @@ func loadSortStore(ext extmem.Extent, stride int, key Key) {
 	ext.Store(buf)
 }
 
-// sortNative sorts records in a native buffer.
+// sortNative sorts records in a native buffer, ordered by (key, first
+// word). Each record's key is evaluated once: the run is decorated with a
+// (key, first word) pair per record, 2 native words per record, sorted,
+// and undecorated — the same caching the merge heap does in mergeEnt.k.
+// The comparisons are the undecorated sort's, so the output is too.
 func sortNative(buf []extmem.Word, stride int, key Key) {
+	d := make([]keyed, len(buf)/stride)
+	for i := range d {
+		w := buf[i*stride]
+		d[i] = keyed{key(w), w}
+	}
 	if stride == 1 {
-		sort.Slice(buf, func(i, j int) bool {
-			ki, kj := key(buf[i]), key(buf[j])
-			return ki < kj || (ki == kj && buf[i] < buf[j])
-		})
+		slices.SortFunc(d, compareKeyed)
+		for i, e := range d {
+			buf[i] = e.w
+		}
 		return
 	}
-	rs := &recSorter{buf: buf, stride: stride, key: key}
-	sort.Sort(rs)
+	// Records move with their decorations, so the undecoration is done
+	// when the sort is.
+	sort.Sort(&recSorter{d: d, buf: buf, stride: stride})
 }
 
+// keyed is a decorated record: its key and its first word.
+type keyed struct {
+	k uint64
+	w extmem.Word
+}
+
+func compareKeyed(a, b keyed) int {
+	switch {
+	case a.k != b.k:
+		if a.k < b.k {
+			return -1
+		}
+		return 1
+	case a.w != b.w:
+		if a.w < b.w {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
+// recSorter sorts multi-word records by their decorations, swapping each
+// record along with its decoration.
 type recSorter struct {
+	d      []keyed
 	buf    []extmem.Word
 	stride int
-	key    Key
 }
 
-func (r *recSorter) Len() int { return len(r.buf) / r.stride }
+func (r *recSorter) Len() int { return len(r.d) }
 
-func (r *recSorter) Less(i, j int) bool {
-	a, b := r.buf[i*r.stride], r.buf[j*r.stride]
-	ka, kb := r.key(a), r.key(b)
-	return ka < kb || (ka == kb && a < b)
-}
+func (r *recSorter) Less(i, j int) bool { return compareKeyed(r.d[i], r.d[j]) < 0 }
 
 func (r *recSorter) Swap(i, j int) {
-	for s := 0; s < r.stride; s++ {
-		r.buf[i*r.stride+s], r.buf[j*r.stride+s] = r.buf[j*r.stride+s], r.buf[i*r.stride+s]
+	r.d[i], r.d[j] = r.d[j], r.d[i]
+	a, b := r.buf[i*r.stride:(i+1)*r.stride], r.buf[j*r.stride:(j+1)*r.stride]
+	for s := range a {
+		a[s], b[s] = b[s], a[s]
 	}
 }
 

@@ -3,6 +3,7 @@ package emsort
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -258,5 +259,74 @@ func TestIsSorted(t *testing.T) {
 	ext.Write(3, 0)
 	if IsSorted(ext, 1, Identity) {
 		t.Error("unsorted input reported sorted")
+	}
+}
+
+// refSortNative is the comparator sort sortNative replaced: the key is
+// evaluated on both sides of every comparison.
+func refSortNative(buf []extmem.Word, stride int, key Key) {
+	if stride == 1 {
+		sort.Slice(buf, func(i, j int) bool {
+			ki, kj := key(buf[i]), key(buf[j])
+			return ki < kj || (ki == kj && buf[i] < buf[j])
+		})
+		return
+	}
+	sort.Sort(&refRecSorter{buf: buf, stride: stride, key: key})
+}
+
+type refRecSorter struct {
+	buf    []extmem.Word
+	stride int
+	key    Key
+}
+
+func (r *refRecSorter) Len() int { return len(r.buf) / r.stride }
+
+func (r *refRecSorter) Less(i, j int) bool {
+	a, b := r.buf[i*r.stride], r.buf[j*r.stride]
+	ka, kb := r.key(a), r.key(b)
+	return ka < kb || (ka == kb && a < b)
+}
+
+func (r *refRecSorter) Swap(i, j int) {
+	for s := 0; s < r.stride; s++ {
+		r.buf[i*r.stride+s], r.buf[j*r.stride+s] = r.buf[j*r.stride+s], r.buf[i*r.stride+s]
+	}
+}
+
+// TestSortNativeMatchesComparatorSort checks the decorated run sort
+// against the comparator sort on inputs with heavy key ties and duplicate
+// first words — at stride 3 the records sharing a first word differ in
+// their tails, so any change in tie order shows — and counts key
+// evaluations: at most one per record.
+func TestSortNativeMatchesComparatorSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, stride := range []int{1, 3} {
+		for _, n := range []int{0, 1, 2, 5, 12, 13, 100, 1000, 4096} {
+			for _, distinct := range []int{1, 3, 40} {
+				buf := make([]extmem.Word, n*stride)
+				for i := range buf {
+					if i%stride == 0 {
+						buf[i] = extmem.Word(rng.Intn(distinct)) << 20
+					} else {
+						buf[i] = rng.Uint64()
+					}
+				}
+				want := append([]extmem.Word(nil), buf...)
+				// Few distinct keys over many distinct words: key ties
+				// between different words and between equal ones.
+				key := func(w extmem.Word) uint64 { return (w >> 20) % 2 }
+				refSortNative(want, stride, key)
+				calls := 0
+				sortNative(buf, stride, func(w extmem.Word) uint64 { calls++; return key(w) })
+				if !slices.Equal(buf, want) {
+					t.Errorf("stride %d, %d records, %d words: decorated sort differs from comparator sort", stride, n, distinct)
+				}
+				if calls > n {
+					t.Errorf("stride %d, %d records: %d key evaluations", stride, n, calls)
+				}
+			}
+		}
 	}
 }

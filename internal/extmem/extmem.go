@@ -263,6 +263,57 @@ func (s *Space) Close() error {
 // two blocks (the model always needs room to move at least input and output
 // blocks).
 func (s *Space) Lease(n int) (release func()) {
+	s.lease(n)
+	return s.releaser(n)
+}
+
+// LeaseAtMost leases n words of internal memory, or as much as remains if
+// less. Algorithms size their native state from the configured M, but
+// configurations at the edge of the model's memory assumptions (M barely
+// above B²) can leave less than the sized amount; accounting then charges
+// everything that is chargeable rather than refusing to run.
+func (s *Space) LeaseAtMost(n int) (release func()) {
+	if n = s.LeaseUpTo(n); n == 0 {
+		return func() {}
+	}
+	return s.releaser(n)
+}
+
+// LeaseUpTo is LeaseAtMost without the release closure, for loops that
+// lease once per iteration and must not allocate: it returns the number
+// of words actually leased, which the caller hands back to Unlease.
+func (s *Space) LeaseUpTo(n int) int {
+	if maxLease := s.cfg.M - 2*s.cfg.B - s.leased; n > maxLease {
+		n = maxLease
+	}
+	if n <= 0 {
+		return 0
+	}
+	s.lease(n)
+	return n
+}
+
+// Unlease returns n words leased by LeaseUpTo (or Lease) to the cache.
+func (s *Space) Unlease(n int) {
+	s.leased -= n
+	if !s.native {
+		s.capFrames = (s.cfg.M - s.leased) / s.cfg.B
+	}
+}
+
+// releaser returns an idempotent release function for a lease of n words.
+func (s *Space) releaser(n int) func() {
+	done := false
+	return func() {
+		if done {
+			return
+		}
+		done = true
+		s.Unlease(n)
+	}
+}
+
+func (s *Space) lease(n int) {
 	if n < 0 {
 		panic("extmem: negative lease")
 	}
@@ -280,32 +331,6 @@ func (s *Space) Lease(n int) (release func()) {
 		s.capFrames = (s.cfg.M - s.leased) / s.cfg.B
 		s.evictOver()
 	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		s.leased -= n
-		if !s.native {
-			s.capFrames = (s.cfg.M - s.leased) / s.cfg.B
-		}
-	}
-}
-
-// LeaseAtMost leases n words of internal memory, or as much as remains if
-// less. Algorithms size their native state from the configured M, but
-// configurations at the edge of the model's memory assumptions (M barely
-// above B²) can leave less than the sized amount; accounting then charges
-// everything that is chargeable rather than refusing to run.
-func (s *Space) LeaseAtMost(n int) (release func()) {
-	if maxLease := s.cfg.M - 2*s.cfg.B - s.leased; n > maxLease {
-		n = maxLease
-	}
-	if n <= 0 {
-		return func() {}
-	}
-	return s.Lease(n)
 }
 
 // Leased reports the currently leased internal memory in words.

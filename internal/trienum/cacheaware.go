@@ -107,10 +107,14 @@ func solveTripleRange(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1,
 	b12 := bucketAt(edges, off, c, t2, t3)
 	parts := distinctExtents(b01, b02, b12)
 	un := mergeSortedInto(scratch, parts)
-	tau1 := uint32(t1)
-	kernel(sp, un, b12.Slice(pivLo, pivHi), memEdges, func(v, _, _ uint32) bool {
-		return colorOf(v) == tau1
-	}, emit)
+	// A cone vertex is the lower endpoint of a union edge, so its color
+	// is τ1 or τ2: with τ1 = τ2 every cone vertex passes the filter.
+	var keep func(v uint32) bool
+	if t1 != t2 {
+		tau1 := uint32(t1)
+		keep = func(v uint32) bool { return colorOf(v) == tau1 }
+	}
+	kernel(sp, un, b12.Slice(pivLo, pivHi), memEdges, keep, emit)
 }
 
 // highDegreeCut returns the lowest rank r0 whose degree exceeds the

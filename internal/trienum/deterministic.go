@@ -146,9 +146,10 @@ func buildDeterministicColoring(ctx context.Context, sp *extmem.Space, g graph.C
 	// function"); they are not leased against the simulated M, which in
 	// our experiments is deliberately tiny.
 	var chosen []uint64
-	prefixColor := func(v uint32) uint32 {
+	// prefixOf is the color prefix chosen so far, from v's BCH codeword;
+	// the greedy passes compute each codeword once and share it.
+	prefixOf := func(cw uint64) uint32 {
 		var x uint32
-		cw := fam.CodeWord(v)
 		for _, s := range chosen {
 			x = x<<1 | uint32(bias.EvalSeed(s, cw))
 		}
@@ -171,9 +172,9 @@ func buildDeterministicColoring(ctx context.Context, sp *extmem.Space, g graph.C
 		for k := int64(0); k < curLen; k++ {
 			e := edges.Read(k)
 			u, v := graph.U(e), graph.V(e)
-			pu, pv := prefixColor(u), prefixColor(v)
-			base := (int(pu)<<1)*ci + int(pv)<<1
 			cu, cv := fam.CodeWord(u), fam.CodeWord(v)
+			pu, pv := prefixOf(cu), prefixOf(cv)
+			base := (int(pu)<<1)*ci + int(pv)<<1
 			for j := 0; j < t; j++ {
 				s := fam.Seed(j)
 				idx := base + int(bias.EvalSeed(s, cu))*ci + int(bias.EvalSeed(s, cv))
@@ -194,12 +195,12 @@ func buildDeterministicColoring(ctx context.Context, sp *extmem.Space, g graph.C
 			for runEnd < 2*curLen && uint32(doubled.Read(runEnd)>>32) == v {
 				runEnd++
 			}
-			pv := prefixColor(v)
 			cv := fam.CodeWord(v)
+			pv := prefixOf(cv)
 			for k := runStart; k < runEnd; k++ {
 				other := uint32(doubled.Read(k))
-				po := prefixColor(other)
 				co := fam.CodeWord(other)
+				po := prefixOf(co)
 				// Class of edge {v, other} orders endpoints by rank.
 				for j := 0; j < t; j++ {
 					s := fam.Seed(j)
@@ -244,5 +245,5 @@ func buildDeterministicColoring(ctx context.Context, sp *extmem.Space, g graph.C
 		chosen = append(chosen, fam.Seed(best))
 	}
 
-	return prefixColor, c, nil
+	return func(v uint32) uint32 { return prefixOf(fam.CodeWord(v)) }, c, nil
 }
