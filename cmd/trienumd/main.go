@@ -79,6 +79,20 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts of both listeners. They bound only the idle parts
+// of a connection — sending request headers, and waiting between
+// keep-alive requests — so a client that opens connections and stalls
+// cannot pin them forever. There is deliberately no read or write
+// timeout: query and subscription streams legitimately run for as long
+// as the result (or the subscription) lasts.
+const (
+	// readHeaderTimeout bounds the time to read a request's headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout bounds how long a keep-alive connection waits for its
+	// next request.
+	idleTimeout = 2 * time.Minute
+)
+
 // multiFlag collects repeated id=value flags.
 type multiFlag []string
 
@@ -147,7 +161,7 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ps = &http.Server{Addr: *pprofAddr, Handler: pmux}
+		ps = &http.Server{Addr: *pprofAddr, Handler: pmux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		go func() {
 			if err := ps.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("pprof listener: %v", err)
@@ -156,7 +170,7 @@ func main() {
 		log.Printf("pprof listening on %s", *pprofAddr)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	log.Printf("trienumd listening on %s", *addr)

@@ -28,6 +28,24 @@ func (e Extent) Read(i int64) Word {
 	return e.sp.Read(e.base + i)
 }
 
+// Span returns a read-only view of the extent's words from i onward: the
+// rest of i's block on a simulated Space, the rest of the extent on a
+// native one (or the rest of the core, for an extent that straddles a
+// session's core and its scratch). The block is fetched exactly as Read(i)
+// would fetch it, but no word read is counted: the caller charges the words
+// it consumes with Space.CountReads, which keeps the accounting exact even
+// when it re-takes a span before consuming the previous one.
+//
+// The view is valid only until the next access to the Space: a later
+// access may evict the block and reuse its frame. A scan that hands words
+// to code which may touch the Space must re-take the span afterwards.
+func (e Extent) Span(i int64) []Word {
+	if i < 0 || i >= e.n {
+		panic(fmt.Sprintf("extmem: extent span out of range: %d not in [0,%d)", i, e.n))
+	}
+	return e.sp.span(e.base+i, e.base+e.n)
+}
+
 // Write stores v at word i of the extent.
 func (e Extent) Write(i int64, v Word) {
 	if i < 0 || i >= e.n {
@@ -54,9 +72,11 @@ func (e Extent) Load(dst []Word) {
 	if int64(len(dst)) < e.n {
 		panic("extmem: Load destination too small")
 	}
-	for i := int64(0); i < e.n; i++ {
-		dst[i] = e.sp.Read(e.base + i)
+	// dst is native memory, so nothing touches the Space between spans.
+	for i := int64(0); i < e.n; {
+		i += int64(copy(dst[i:], e.Span(i)))
 	}
+	e.sp.CountReads(e.n)
 }
 
 // Store copies the native slice src into the extent (charged as a scan).

@@ -445,6 +445,36 @@ func (s *Space) Read(a int64) Word {
 	return s.data[int64(f)<<s.logB|(a&int64(s.cfg.B-1))]
 }
 
+// span returns the words [a, end) up to the end of a's block (a's region of
+// the address space, on a native Space), fetching the block as Read(a)
+// would but counting no word read. See Extent.Span.
+func (s *Space) span(a, end int64) []Word {
+	if s.native {
+		if a < s.natBase {
+			hi := min(end, s.natBase)
+			return s.natCore[a:hi:hi]
+		}
+		return s.natScratch[a-s.natBase : end-s.natBase : end-s.natBase]
+	}
+	b := a >> s.logB
+	f := s.lastFrame
+	if b != s.lastBlock {
+		f = s.fetch(b, false)
+	}
+	start := b << s.logB
+	hi := min(end-start, int64(s.cfg.B))
+	frame := s.data[int64(f)<<s.logB:]
+	return frame[a-start : hi : hi]
+}
+
+// CountReads charges n word reads, the words a caller consumed from spans
+// (Extent.Span). A native Space counts nothing.
+func (s *Space) CountReads(n int64) {
+	if !s.native {
+		s.stats.WordReads += uint64(n)
+	}
+}
+
 // Write stores v at address a, counting a block read on a miss (write-
 // allocate) unless the block has never been materialized, and a block write
 // when the dirty block is eventually evicted or flushed.

@@ -32,9 +32,8 @@ type Options struct {
 //  2. A 4-wise independent coloring ξ: V → [c], c = ceil(sqrt(E/M)),
 //     partitions the remaining edges into color-pair buckets E_{τ1,τ2}.
 //  3. Each of the c³ color triples (τ1,τ2,τ3) is solved by the Lemma 2
-//     kernel with pivot set E_{τ2,τ3} and edge set
-//     E_{τ1,τ2} ∪ E_{τ1,τ3} ∪ E_{τ2,τ3}, keeping only triangles whose
-//     cone vertex has color τ1.
+//     kernel with pivot set E_{τ2,τ3} and edge set E_{τ1,τ2} ∪ E_{τ1,τ3},
+//     the edges whose lower endpoint — the cone vertex — has color τ1.
 //
 // The Lemma 1 passes and the color-triple kernels run as tasks on
 // exec.Workers shards of the worker-pool engine (parallel.go). Triangles
@@ -80,41 +79,47 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, opt Op
 	return info, extmem.AddStatsVec(workerStats, ws), err
 }
 
-// solveTriple solves one color triple (τ1,τ2,τ3): merge the triple's
-// (distinct) buckets into scratch, preserving sort order, and run the
-// kernel with pivot set E_{τ2,τ3}, keeping triangles whose cone vertex
-// has color τ1. It is the body of one engine task (solveColoredParallel);
-// the task's emissions are a pure function of the frozen edges and the
-// triple, which is what makes the merged stream scheduling-independent.
-func solveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, colorOf func(uint32) uint32, scratch extmem.Extent, emit graph.Emit) {
-	b12 := bucketAt(edges, off, c, t2, t3)
-	solveTripleRange(sp, edges, off, c, t1, t2, t3, 0, b12.Len(), 0, colorOf, scratch, emit)
+// solveTriple solves one color triple (τ1,τ2,τ3): run the kernel with
+// pivot set E_{τ2,τ3} over the cone buckets E_{τ1,τ2} ∪ E_{τ1,τ3}. The
+// buckets are keyed by the colors of (lower, upper) endpoint, so every
+// lower endpoint of a cone-bucket edge has color τ1, and each triangle
+// v < u < w is found exactly once, in the triple of its colors
+// (ξ(v), ξ(u), ξ(w)). When τ2 = τ3 the two cone buckets are one, scanned
+// in place; otherwise they are merged into scratch, preserving sort order.
+// It is the body of one engine task (solveColoredParallel); the task's
+// emissions are a pure function of the frozen edges and the triple, which
+// is what makes the merged stream scheduling-independent.
+func solveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, scratch extmem.Extent, emit graph.Emit) {
+	piv := bucketAt(edges, off, c, t2, t3)
+	solveTripleRange(sp, edges, off, c, t1, t2, t3, 0, piv.Len(), 0, scratch, emit)
 }
 
 // solveTripleRange is solveTriple restricted to the pivot rows
 // [pivLo, pivHi) of E_{τ2,τ3}, with an explicit kernel chunk size. The
 // kernel's pivot loop processes chunks of memEdges rows independently —
-// each chunk is one full scan of the triple's edge union — so running the
-// ranges [k·memEdges, (k+1)·memEdges) as separate invocations and
-// concatenating their emissions reproduces solveTriple's stream exactly.
-// That is the native mode's work-stealing grain: a skewed triple splits
-// into per-chunk tasks the engine's dynamic dispatch balances across
-// workers (parallel.go), at the price of re-merging the bucket union per
-// chunk.
-func solveTripleRange(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, pivLo, pivHi int64, memEdges int, colorOf func(uint32) uint32, scratch extmem.Extent, emit graph.Emit) {
-	b01 := bucketAt(edges, off, c, t1, t2)
-	b02 := bucketAt(edges, off, c, t1, t3)
-	b12 := bucketAt(edges, off, c, t2, t3)
-	parts := distinctExtents(b01, b02, b12)
-	un := mergeSortedInto(scratch, parts)
-	// A cone vertex is the lower endpoint of a union edge, so its color
-	// is τ1 or τ2: with τ1 = τ2 every cone vertex passes the filter.
-	var keep func(v uint32) bool
-	if t1 != t2 {
-		tau1 := uint32(t1)
-		keep = func(v uint32) bool { return colorOf(v) == tau1 }
+// each chunk is one full scan of the cone buckets — so running the ranges
+// [k·memEdges, (k+1)·memEdges) as separate invocations and concatenating
+// their emissions reproduces solveTriple's stream exactly. That is the
+// native mode's work-stealing grain: a skewed triple splits into per-chunk
+// tasks the engine's dynamic dispatch balances across workers
+// (parallel.go), at the price of re-merging the cone buckets per chunk.
+// scratch must hold coneWords words.
+func solveTripleRange(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, pivLo, pivHi int64, memEdges int, scratch extmem.Extent, emit graph.Emit) {
+	cone := bucketAt(edges, off, c, t1, t2)
+	if t2 != t3 {
+		cone = mergeSortedInto(scratch, cone, bucketAt(edges, off, c, t1, t3))
 	}
-	kernel(sp, un, b12.Slice(pivLo, pivHi), memEdges, keep, emit)
+	kernel(sp, cone, bucketAt(edges, off, c, t2, t3).Slice(pivLo, pivHi), memEdges, emit)
+}
+
+// coneWords is the scratch solveTripleRange needs for the triple's merged
+// cone buckets: none when τ2 = τ3 and the single bucket is scanned in
+// place.
+func coneWords(edges extmem.Extent, off []int64, c, t1, t2, t3 int) int64 {
+	if t2 == t3 {
+		return 0
+	}
+	return bucketAt(edges, off, c, t1, t2).Len() + bucketAt(edges, off, c, t1, t3).Len()
 }
 
 // highDegreeCut returns the lowest rank r0 whose degree exceeds the
@@ -191,52 +196,21 @@ func forEachTriple(off []int64, c int, fn func(t1, t2, t3 int)) {
 	}
 }
 
-// distinctExtents drops duplicate extents (same base), which arise when
-// colors in a triple coincide and two bucket names alias one bucket.
-func distinctExtents(exts ...extmem.Extent) []extmem.Extent {
-	var out []extmem.Extent
-	for _, e := range exts {
-		dup := false
-		for _, o := range out {
-			if o.Base() == e.Base() {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// mergeSortedInto k-way merges the sorted extents in parts into the prefix
-// of dst and returns that prefix.
-func mergeSortedInto(dst extmem.Extent, parts []extmem.Extent) extmem.Extent {
-	if len(parts) == 1 {
-		parts[0].CopyTo(dst.Prefix(parts[0].Len()))
-		return dst.Prefix(parts[0].Len())
-	}
-	readers := make([]*emio.Reader, len(parts))
-	heads := make([]extmem.Word, len(parts))
-	alive := make([]bool, len(parts))
-	for i, p := range parts {
-		readers[i] = emio.NewReader(p)
-		heads[i], alive[i] = readers[i].Next()
-	}
+// mergeSortedInto merges the sorted extents a and b into the prefix of dst
+// and returns that prefix.
+func mergeSortedInto(dst, a, b extmem.Extent) extmem.Extent {
+	ra, rb := emio.NewReader(a), emio.NewReader(b)
+	ha, okA := ra.Next()
+	hb, okB := rb.Next()
 	w := emio.NewWriter(dst)
-	for {
-		best := -1
-		for i := range parts {
-			if alive[i] && (best < 0 || heads[i] < heads[best]) {
-				best = i
-			}
+	for okA || okB {
+		if okA && (!okB || ha < hb) {
+			w.Append(ha)
+			ha, okA = ra.Next()
+		} else {
+			w.Append(hb)
+			hb, okB = rb.Next()
 		}
-		if best < 0 {
-			break
-		}
-		w.Append(heads[best])
-		heads[best], alive[best] = readers[best].Next()
 	}
 	return w.Written()
 }

@@ -28,7 +28,7 @@ func HuTaoChungCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, emi
 	if g.Edges.Len() == 0 {
 		return info, ctxutil.Err(ctx)
 	}
-	err := kernelCtx(ctx, sp, g.Edges, g.Edges, 0, nil, emit)
+	err := kernelCtx(ctx, sp, g.Edges, g.Edges, 0, emit)
 	info.Subproblems = 1
 	return info, err
 }

@@ -22,23 +22,22 @@ import (
 // caps how many pivot edges are loaded per iteration; pass 0 to size it
 // automatically from the Space's configured memory.
 //
-// keep, if non-nil, restricts the cone vertices v whose triangles are
-// emitted (used by the color-coded algorithms to keep each triangle in
-// exactly one subproblem). It is evaluated at most once per cone vertex
-// and chunk. A rejected cone vertex's adjacency list is still scanned,
-// without Γ_mem lookups, so the I/O cost does not depend on keep.
+// Every cone vertex of edges is a candidate: the color-coded algorithms
+// keep each triangle in exactly one subproblem by choosing the edge set
+// (cacheaware.go), not by filtering cone vertices.
 //
 // The kernel touches no state outside sp, so concurrent invocations on
-// distinct Spaces (the worker shards of parallel.go) are safe; keep and
-// emit must then be confined or pure.
-func kernel(sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, keep func(v uint32) bool, emit graph.Emit) {
-	_ = kernelCtx(nil, sp, edges, pivots, memEdges, keep, emit)
+// distinct Spaces (the worker shards of parallel.go) are safe; emit must
+// then be confined or pure. emit may itself touch sp (ListTriangles
+// writes its output there).
+func kernel(sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, emit graph.Emit) {
+	_ = kernelCtx(nil, sp, edges, pivots, memEdges, emit)
 }
 
 // kernelCtx is kernel with cooperative cancellation between pivot chunks
 // — each chunk is one full scan of the edge set, the algorithm's natural
 // pass boundary. A nil ctx never cancels.
-func kernelCtx(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, keep func(v uint32) bool, emit graph.Emit) error {
+func kernelCtx(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, emit graph.Emit) error {
 	nPivots := pivots.Len()
 	if nPivots == 0 || edges.Len() == 0 {
 		return ctxutil.Err(ctx)
@@ -62,7 +61,7 @@ func kernelCtx(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Exten
 		if hi > nPivots {
 			hi = nPivots
 		}
-		ks.chunk(sp, edges, pivots.Slice(lo, hi), keep, emit)
+		ks.chunk(sp, edges, pivots.Slice(lo, hi), emit)
 	}
 	return nil
 }
@@ -175,7 +174,7 @@ func (ks *kernelScratch) nextEpoch() {
 
 // chunk processes one memory-resident chunk of pivot edges against a full
 // scan of the edge set.
-func (ks *kernelScratch) chunk(sp *extmem.Space, edges, chunk extmem.Extent, keep func(v uint32) bool, emit graph.Emit) {
+func (ks *kernelScratch) chunk(sp *extmem.Space, edges, chunk extmem.Extent, emit graph.Emit) {
 	defer sp.Unlease(sp.LeaseUpTo(int(chunk.Len()) * 6))
 
 	// Load the chunk and build Γ_mem, the vertices it touches.
@@ -191,22 +190,21 @@ func (ks *kernelScratch) chunk(sp *extmem.Space, edges, chunk extmem.Extent, kee
 		ks.ends[2*i+1] = ks.insert(graph.V(e))
 	}
 
-	// Scan the edge set grouped by cone vertex v; for each kept group
-	// compute Γ_v = {u : (v,u) ∈ edges, u ∈ Γ_mem} and enumerate pivot
-	// edges with both endpoints in Γ_v. Within a group we choose the
-	// cheaper of the two enumeration orders: all pairs of Γ_v (|Γ_v|²
-	// work) or all chunk pivots (|chunk| work). Both emit in canonical
-	// pivot order.
+	// Scan the edge set grouped by cone vertex v; for each group compute
+	// Γ_v = {u : (v,u) ∈ edges, u ∈ Γ_mem} and enumerate pivot edges with
+	// both endpoints in Γ_v. Within a group we choose the cheaper of the
+	// two enumeration orders: all pairs of Γ_v (|Γ_v|² work) or all chunk
+	// pivots (|chunk| work). Both emit in canonical pivot order. flush
+	// reports whether it emitted.
 	var (
-		curV    uint32
-		live    bool // the current group is not rejected by keep
-		decided bool // keep has been evaluated for the current group
-		nv      int  // |Γ_v|; lv holds it while it fits
+		curV uint32
+		nv   int // |Γ_v|; lv holds it while it fits
 	)
-	flush := func() {
-		if !live || nv < 2 {
-			return
+	flush := func() bool {
+		if nv < 2 {
+			return false
 		}
+		emitted := false
 		if nv*nv <= n {
 			// The pivots (u, ·) form one run of the sorted chunk: find
 			// it by binary search, then walk it along Γ_v's ascending
@@ -226,49 +224,52 @@ func (ks *kernelScratch) chunk(sp *extmem.Space, edges, chunk extmem.Extent, kee
 					}
 					if pivots[p] == e {
 						emit(curV, u, w)
+						emitted = true
 					}
 				}
 			}
-			return
+			return emitted
 		}
 		stamp, ends, ep := ks.stamp, ks.ends, ks.epoch
 		for i, e := range pivots {
 			if stamp[ends[2*i]] == ep && stamp[ends[2*i+1]] == ep {
 				emit(curV, graph.U(e), graph.V(e))
+				emitted = true
 			}
 		}
+		return emitted
 	}
+	// The edge set is read a span at a time (a block, or the whole extent
+	// on a native Space) and charged one word read per word consumed, as a
+	// per-word Read loop would be. emit may touch sp and evict the span's
+	// block, so after a flush that emitted the span is re-taken at the next
+	// word — at the I/O cost the per-word loop's next Read would pay.
 	m := edges.Len()
-	for i := int64(0); i < m; i++ {
-		e := edges.Read(i)
-		v, u := graph.U(e), graph.V(e)
-		if i == 0 || v != curV {
-			flush()
-			curV, live, decided = v, true, keep == nil
-			ks.nextEpoch()
-			ks.lv = ks.lv[:0]
-			nv = 0
-		}
-		if !live {
-			continue
-		}
-		s := ks.find(u)
-		if s < 0 {
-			continue
-		}
-		// keep runs once per group, at its first Γ_mem hit: a group
-		// without one emits nothing whatever keep says.
-		if !decided {
-			if decided = true; !keep(v) {
-				live = false
-				continue
+	for i := int64(0); i < m; {
+		span := edges.Span(i)
+		for j, e := range span {
+			v, u := graph.U(e), graph.V(e)
+			emitted := false
+			if i+int64(j) == 0 || v != curV {
+				emitted = flush()
+				curV, nv = v, 0
+				ks.nextEpoch()
+				ks.lv = ks.lv[:0]
+			}
+			if s := ks.find(u); s >= 0 {
+				ks.stamp[s] = ks.epoch
+				if nv < cap(ks.lv) {
+					ks.lv = append(ks.lv, u)
+				}
+				nv++
+			}
+			if emitted {
+				span = span[:j+1]
+				break
 			}
 		}
-		ks.stamp[s] = ks.epoch
-		if nv < cap(ks.lv) {
-			ks.lv = append(ks.lv, u)
-		}
-		nv++
+		i += int64(len(span))
 	}
+	sp.CountReads(m)
 	flush()
 }

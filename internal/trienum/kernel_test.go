@@ -204,54 +204,57 @@ func kernelInputs(rng *rand.Rand) []kernelInput {
 }
 
 // runKernel runs kern on a fresh Space holding the instance and returns
-// its emission stream (12 bytes per triangle) and the Space's Stats.
-func runKernel(cfg extmem.Config, in kernelInput, run func(sp *extmem.Space, edges, pivots extmem.Extent, emit graph.Emit)) ([]byte, extmem.Stats) {
+// its emission stream (12 bytes per triangle) and the Space's Stats. With
+// touch set, every emission is also written to a ring of 4M words on the
+// same Space, as a caller materializing its output there would: those
+// writes evict blocks between the kernel's reads of the edge set.
+func runKernel(cfg extmem.Config, in kernelInput, touch bool, run func(sp *extmem.Space, edges, pivots extmem.Extent, emit graph.Emit)) ([]byte, extmem.Stats) {
 	sp := extmem.NewSpace(cfg)
 	edges := sp.Alloc(int64(len(in.edges)))
 	edges.Store(in.edges)
 	pivots := sp.Alloc(int64(len(in.pivots)))
 	pivots.Store(in.pivots)
+	ring := sp.Alloc(4 * int64(cfg.M))
 	sp.Flush()
 	sp.DropCache()
 	sp.ResetStats()
 	var out []byte
+	var k int64
 	run(sp, edges, pivots, func(v, u, w uint32) {
 		out = binary.LittleEndian.AppendUint32(out, v)
 		out = binary.LittleEndian.AppendUint32(out, u)
 		out = binary.LittleEndian.AppendUint32(out, w)
+		if touch {
+			ring.Write(k%ring.Len(), graph.PackOrdered(v, u))
+			ring.Write((k+1)%ring.Len(), extmem.Word(w))
+			k += 2
+		}
 	})
 	return out, sp.Stats()
 }
 
 // TestKernelMatchesReference is the differential oracle of the map-free
-// kernel: on every instance, chunk size and cone predicate it emits the
-// reference kernel's stream byte for byte and moves exactly the same
-// blocks, simulated and native.
+// kernel: on every instance and chunk size, and whether or not emit
+// writes to the kernel's own Space, it emits the reference kernel's
+// stream byte for byte and moves exactly the same blocks, simulated and
+// native.
 func TestKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 2))
 	inputs := kernelInputs(rng)
-	keeps := map[string]func(uint32) bool{
-		"all":  nil,
-		"cone": func(v uint32) bool { return (v*0x9E3779B9)>>30 == 1 },
-	}
 	cfgs := []extmem.Config{
 		{M: 1024, B: 32},
 		{M: 1024, B: 32, Native: true},
 	}
 	for _, in := range inputs {
 		for _, memEdges := range []int{16, 17, 64, 0} {
-			for kname, keep := range keeps {
+			for _, touch := range []bool{false, true} {
 				for _, cfg := range cfgs {
-					name := fmt.Sprintf("%s/mem=%d/%s/native=%v", in.name, memEdges, kname, cfg.Native)
-					var filter func(v, u, w uint32) bool
-					if keep != nil {
-						filter = func(v, _, _ uint32) bool { return keep(v) }
-					}
-					want, wantStats := runKernel(cfg, in, func(sp *extmem.Space, edges, pivots extmem.Extent, emit graph.Emit) {
-						refKernel(sp, edges, pivots, memEdges, filter, emit)
+					name := fmt.Sprintf("%s/mem=%d/touch=%v/native=%v", in.name, memEdges, touch, cfg.Native)
+					want, wantStats := runKernel(cfg, in, touch, func(sp *extmem.Space, edges, pivots extmem.Extent, emit graph.Emit) {
+						refKernel(sp, edges, pivots, memEdges, nil, emit)
 					})
-					got, gotStats := runKernel(cfg, in, func(sp *extmem.Space, edges, pivots extmem.Extent, emit graph.Emit) {
-						kernel(sp, edges, pivots, memEdges, keep, emit)
+					got, gotStats := runKernel(cfg, in, touch, func(sp *extmem.Space, edges, pivots extmem.Extent, emit graph.Emit) {
+						kernel(sp, edges, pivots, memEdges, emit)
 					})
 					if !bytes.Equal(got, want) {
 						t.Errorf("%s: stream differs: %d triangles, reference %d", name, len(got)/12, len(want)/12)
@@ -259,12 +262,53 @@ func TestKernelMatchesReference(t *testing.T) {
 					if gotStats != wantStats {
 						t.Errorf("%s: stats %+v, reference %+v", name, gotStats, wantStats)
 					}
-					if keep == nil && len(in.pivots) == len(in.edges) && len(want) == 0 && in.name[:3] == "gnm" {
+					if len(in.pivots) == len(in.edges) && len(want) == 0 && in.name[:3] == "gnm" {
 						t.Errorf("%s: instance has no triangles", name)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestKernelEmitMayTouchSpace lists the triangles of a planted clique
+// through the Hu–Tao–Chung kernel on a machine small enough that writing
+// the output evicts the block the kernel is scanning. The list must be
+// the oracle's, and the run must cost exactly what the per-word reference
+// kernel costs under the same output writes, word reads included.
+func TestKernelEmitMayTouchSpace(t *testing.T) {
+	el := graph.PlantedClique(300, 3000, 25, 4)
+	cfg := extmem.Config{M: 256, B: 16}
+	list := func(run Lister) ([]graph.Triple, extmem.Stats) {
+		sp := extmem.NewSpace(cfg)
+		g := graph.CanonicalizeList(sp, el)
+		sp.Flush()
+		sp.DropCache()
+		sp.ResetStats()
+		out, _ := ListTriangles(sp, g, 0, run)
+		st := sp.Stats()
+		var got []graph.Triple
+		for i := int64(0); i < ListLen(out); i++ {
+			a, b, c := ReadTriple(out, i)
+			got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
+		}
+		return got, st
+	}
+	got, gotStats := list(func(sp *extmem.Space, g graph.Canonical, _ uint64, emit graph.Emit) Info {
+		return HuTaoChung(sp, g, emit)
+	})
+	want, wantStats := list(func(sp *extmem.Space, g graph.Canonical, _ uint64, emit graph.Emit) Info {
+		refKernel(sp, g.Edges, g.Edges, 0, nil, emit)
+		return Info{}
+	})
+	if ok, diag := graph.NewOracle(el).SameSet(got); !ok {
+		t.Errorf("listed set wrong (%d triangles): %s", len(got), diag)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("list differs from the reference kernel's: %d triangles, reference %d", len(got), len(want))
+	}
+	if gotStats != wantStats {
+		t.Errorf("stats %+v, reference %+v", gotStats, wantStats)
 	}
 }
 
@@ -315,18 +359,17 @@ func TestKernelAllocsIndependentOfChunks(t *testing.T) {
 	edges.Store(in.edges)
 	var count int
 	emit := func(_, _, _ uint32) { count++ }
-	keep := func(v uint32) bool { return v&1 == 0 }
 	one := testing.AllocsPerRun(20, func() {
-		kernel(sp, edges, edges, len(in.edges), keep, emit)
+		kernel(sp, edges, edges, len(in.edges), emit)
 	})
 	many := testing.AllocsPerRun(20, func() {
-		kernel(sp, edges, edges, memEdges, keep, emit)
+		kernel(sp, edges, edges, memEdges, emit)
 	})
 	if many > one {
 		t.Errorf("kernel over %d chunks allocates %.0f times, over one chunk %.0f", (len(in.edges)+memEdges-1)/memEdges, many, one)
 	}
 	if count == 0 {
-		t.Error("instance has no kept triangles")
+		t.Error("instance has no triangles")
 	}
 }
 
@@ -343,5 +386,5 @@ func TestKernelRejectsUnsortedPivots(t *testing.T) {
 			t.Error("unsorted pivots did not panic")
 		}
 	}()
-	kernel(sp, edges, pivots, 0, nil, func(_, _, _ uint32) {})
+	kernel(sp, edges, pivots, 0, func(_, _, _ uint32) {})
 }

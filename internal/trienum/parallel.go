@@ -257,7 +257,7 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 // color pair of their endpoints under colorOf, then solve every color
 // triple with the kernel. The coordinator sorts edges into color-pair
 // buckets with the parallel emsort engine and freezes them; each triple's
-// bucket union, kernel run, and color filter happen on a worker shard.
+// cone-bucket merge and kernel run happen on a worker shard.
 // edges is clobbered (sorted by color pair). With c = 1 there is a single
 // subproblem: the Hu–Tao–Chung algorithm applied to the whole edge set.
 func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c int, workers int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
@@ -275,7 +275,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 		info.Subproblems++
 		task := func(shard *extmem.Space, emit graph.Emit) {
 			seg := shard.ExtentAt(0, E)
-			kernel(shard, seg, seg, 0, nil, emit)
+			kernel(shard, seg, seg, 0, emit)
 		}
 		ws, err := runTasks(ctx, cfg, shared, []shardTask{task}, 1, emit)
 		return extmem.AddStatsVec(sortWS, ws), err
@@ -298,7 +298,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 	// each a run of whole memEdges-row chunks. The engine's pull-based
 	// dispatch (workers take the next task as they free up) then steals
 	// the hot triple's runs across the pool instead of serializing them
-	// on one worker. Every run re-merges the triple's bucket union, so
+	// on one worker. Every run re-merges the triple's cone buckets, so
 	// runs are no finer than the pool needs. memEdges replicates the
 	// kernel's auto-sizing under the c²+1-word bucket-index lease, so
 	// chunk boundaries — and the concatenated emission stream — are
@@ -322,11 +322,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 	var tasks []shardTask
 	forEachTriple(off, c, func(t1, t2, t3 int) {
 		info.Subproblems++
-		// Scratch for the bucket union; the three named buckets bound
-		// its size even when colors coincide and buckets alias.
-		need := bucketAt(edges, off, c, t1, t2).Len() +
-			bucketAt(edges, off, c, t1, t3).Len() +
-			bucketAt(edges, off, c, t2, t3).Len()
+		need := coneWords(edges, off, c, t1, t2, t3)
 		nPiv := bucketAt(edges, off, c, t2, t3).Len()
 		if !chunked || nPiv <= int64(memEdges) {
 			tasks = append(tasks, func(shard *extmem.Space, emit graph.Emit) {
@@ -335,7 +331,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 				release := shard.LeaseAtMost(c*c + 1)
 				defer release()
 				seg := shard.ExtentAt(0, E)
-				solveTriple(shard, seg, off, c, t1, t2, t3, colorOf, shard.Alloc(need), emit)
+				solveTriple(shard, seg, off, c, t1, t2, t3, shard.Alloc(need), emit)
 			})
 			return
 		}
@@ -350,7 +346,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 				release := shard.LeaseAtMost(c*c + 1)
 				defer release()
 				seg := shard.ExtentAt(0, E)
-				solveTripleRange(shard, seg, off, c, t1, t2, t3, lo, hi, memEdges, colorOf, shard.Alloc(need), emit)
+				solveTripleRange(shard, seg, off, c, t1, t2, t3, lo, hi, memEdges, shard.Alloc(need), emit)
 			})
 		}
 	})

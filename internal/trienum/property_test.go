@@ -45,10 +45,10 @@ func TestQuickKernelPivotAdditivity(t *testing.T) {
 		}
 		k := int64(cut)%(e-1) + 1
 		var parts uint64
-		kernel(sp, g.Edges, g.Edges.Slice(0, k), 0, nil, func(_, _, _ uint32) { parts++ })
-		kernel(sp, g.Edges, g.Edges.Slice(k, e), 0, nil, func(_, _, _ uint32) { parts++ })
+		kernel(sp, g.Edges, g.Edges.Slice(0, k), 0, func(_, _, _ uint32) { parts++ })
+		kernel(sp, g.Edges, g.Edges.Slice(k, e), 0, func(_, _, _ uint32) { parts++ })
 		var whole uint64
-		kernel(sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { whole++ })
+		kernel(sp, g.Edges, g.Edges, 0, func(_, _, _ uint32) { whole++ })
 		return parts == whole && whole == graph.NewOracle(el).Count()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
@@ -88,7 +88,7 @@ func TestQuickObliviousMatchesKernel(t *testing.T) {
 		g := graph.CanonicalizeList(sp, el)
 		var a, b uint64
 		ObliviousParallel(sp, g, seed^0xabc, Exec{Workers: 1}, graph.Counter(&a))
-		kernel(sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { b++ })
+		kernel(sp, g.Edges, g.Edges, 0, func(_, _, _ uint32) { b++ })
 		return a == b
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {

@@ -219,7 +219,7 @@ func TestKernelMatchesHuEtAlSemantics(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	var got []graph.Triple
-	kernel(sp, g.Edges, g.Edges, 0, nil, func(a, b, c uint32) {
+	kernel(sp, g.Edges, g.Edges, 0, func(a, b, c uint32) {
 		got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
 	})
 	if ok, diag := oracle.SameSet(got); !ok {
@@ -237,7 +237,7 @@ func TestKernelPivotRestriction(t *testing.T) {
 	pivot := g.Edges.Slice(g.Edges.Len()-1, g.Edges.Len())
 	pe := pivot.Read(0)
 	var got []graph.Triple
-	kernel(sp, g.Edges, pivot, 0, nil, func(a, b, c uint32) {
+	kernel(sp, g.Edges, pivot, 0, func(a, b, c uint32) {
 		got = append(got, graph.Triple{V1: a, V2: b, V3: c})
 	})
 	if len(got) != 6 {
@@ -257,7 +257,7 @@ func TestKernelTinyChunks(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	var got []graph.Triple
-	kernel(sp, g.Edges, g.Edges, 4, nil, func(a, b, c uint32) {
+	kernel(sp, g.Edges, g.Edges, 4, func(a, b, c uint32) {
 		got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
 	})
 	if ok, diag := oracle.SameSet(got); !ok {
